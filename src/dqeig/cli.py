@@ -32,7 +32,14 @@ from .bench import (
 from .dual_eig import eddcam_ea
 from .errors import DQEigError, InnerNoConvergence, ParseError
 from .matrices import DualQuaternionMatrix, DualQuaternionVector, random_unit_vector
-from .power import PowerIterConfig, adcam_pm, dcam_pm, dcama_pm, power_method_spectrum
+from .power import (
+    PowerIterConfig,
+    adcam_pm,
+    dcam_pm,
+    dcama_pm,
+    pair_residual,
+    power_method_spectrum,
+)
 
 PENTAGON_MATCH_TOL = 5e-4
 
@@ -119,6 +126,14 @@ def _emit(doc, out_path):
 
 def cmd_solve(args) -> int:
     try:
+        cfg = PowerIterConfig(
+            max_iter=args.max_iter, tol=args.tol,
+            aitken_trigger=max(args.tol, 1e-3), seed=args.seed,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    try:
         matrix = load_matrix(args.matrix)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -126,10 +141,6 @@ def cmd_solve(args) -> int:
     if not matrix.is_hermitian(1e-10):
         print("error: matrix is not Hermitian within 1e-10", file=sys.stderr)
         return 1
-    cfg = PowerIterConfig(
-        max_iter=args.max_iter, tol=args.tol,
-        aitken_trigger=max(args.tol, 1e-3), seed=args.seed,
-    )
     n = matrix.rows
     converged = True
     try:
@@ -151,7 +162,8 @@ def cmd_solve(args) -> int:
             lam, v, tr = solver(matrix, v0, cfg)
             converged = tr.converged
             doc = _result_doc(
-                args.alg, n, ((lam, (v,)),), tr.residuals[-1], tr.iterations, converged
+                args.alg, n, ((lam, (v,)),), pair_residual(matrix, lam, v),
+                tr.iterations, converged,
             )
     except DQEigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -78,7 +78,7 @@ def eig_dual_complex_hermitian(
 
     base = eig_hermitian(p.st)
     clusters = cluster_eigenvalues(base.values, tol_group)
-    scale = max(1.0, abs(clusters[0][0])) if clusters else 1.0
+    scale = max(1.0, abs(clusters[0][0]), abs(clusters[-1][0])) if clusters else 1.0
     for (left, _), (right, _) in zip(clusters, clusters[1:]):
         if left - right < 10.0 * tol_group * scale:
             raise ClusterInstability(

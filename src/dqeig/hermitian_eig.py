@@ -47,13 +47,13 @@ def eig_hermitian(h, tol: float = 1e-10) -> ComplexHermitianEig:
 def cluster_eigenvalues(values, tol_group: float = 1e-8):
     """Group a descending eigenvalue list into (value, multiplicity) clusters.
 
-    Consecutive values within tol_group * max(1, |values[0]|) of each other
+    Consecutive values within tol_group * max(1, max |values|) of each other
     share a cluster; the cluster value is the mean of its members.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return []
-    threshold = tol_group * max(1.0, abs(float(values[0])))
+    threshold = tol_group * max(1.0, abs(float(values[0])), abs(float(values[-1])))
     clusters = []
     start = 0
     for i in range(1, values.size + 1):

@@ -533,12 +533,12 @@ class DualComplexVector:
 
 
 def _sumsq(a) -> float:
-    return float(np.sum(a.real * a.real + a.imag * a.imag))
+    return float((a.real * a.real + a.imag * a.imag).sum())
 
 
 def _redot(a, b) -> float:
     """Real part of <a, b>, i.e. sc(tr(A* B)) summed over entries."""
-    return float(np.sum(a.real * b.real + a.imag * b.imag))
+    return float((a.real * b.real + a.imag * b.imag).sum())
 
 
 def random_unit_vector(n: int, rng: np.random.Generator) -> DualQuaternionVector:

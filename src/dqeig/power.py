@@ -1,10 +1,23 @@
 """Iterative eigensolvers.
 
-power_method_baseline iterates directly in dual quaternion arithmetic.
-dcam_pm runs the same loop on the dual complex adjoint matrix, which is
-cheaper per step and is the inner engine of the deflation driver dcama_pm.
-adcam_pm adds Aitken extrapolation of the eigenvalue and eigenvector
-sequences once the raw residual passes a trigger threshold.
+Every solver runs one power-iteration skeleton, _power, on raw complex
+ndarrays. It takes its arithmetic (matvec, Rayleigh quotient, residual and
+dual normalization) from one of two per-algebra tables:
+
+- _Quaternion iterates on the complex-pair components of a dual quaternion
+  vector with the products DualQuaternionMatrix uses. This is plain dual
+  quaternion arithmetic, the cost baseline of power_method_baseline and
+  power_method_spectrum.
+- _Adjoint iterates on the parts of a dual complex vector against the
+  adjoint matrix, built once by adjoint(). dcam_pm, adcam_pm and dcama_pm
+  run on it; adcam_pm adds the Aitken step, which extrapolates the last
+  three eigenvalue and eigenvector iterates once the raw residual passes a
+  trigger threshold.
+
+One deflation driver, _deflate, extracts all eigenpairs with either table:
+power_method_spectrum subtracts lam v v^* from Q, dcama_pm subtracts
+lam (u u^* + Hu Hu^*) from the adjoint. The immutable matrix and vector
+objects are built only on entry to and exit from each power loop.
 
 All solvers stop when the residual |y - u*lam| in the 2R norm drops to the
 configured tolerance; hitting the iteration cap is reported through the
@@ -20,15 +33,18 @@ import numpy as np
 
 from .adjoint import adjoint, vec_map_f, vec_map_f_inverse, vec_map_h
 from .dual_eig import EigenResult
-from .errors import InnerNoConvergence
+from .errors import InnerNoConvergence, ZeroVector
 from .matrices import (
     DualComplexMatrix,
     DualComplexVector,
     DualQuaternionMatrix,
     DualQuaternionVector,
+    _qmul,
+    _redot,
+    _sumsq,
     random_unit_vector,
 )
-from .scalars import DualComplex, DualNumber, DualQuaternion
+from .scalars import DualNumber
 
 __all__ = [
     "PowerIterConfig",
@@ -91,70 +107,167 @@ class IterTrace:
             self.imag_flag = True
 
 
-def _cast_complex(lam: DualComplex):
-    return DualNumber(lam.st.real, lam.du.real), max(abs(lam.st.imag), abs(lam.du.imag))
-
-
-def _cast_quaternion(lam: DualQuaternion):
-    dropped = max(
-        abs(lam.st.x), abs(lam.st.y), abs(lam.st.z),
-        abs(lam.du.x), abs(lam.du.y), abs(lam.du.z),
-    )
-    return DualNumber(lam.st.w, lam.du.w), dropped
-
-
 def pair_residual(q: DualQuaternionMatrix, lam: DualNumber, v: DualQuaternionVector) -> float:
     """|Q v - v lam| in the 2R norm."""
     return (q @ v - v.scale_right(lam)).norm_2r()
 
 
-def power_method_baseline(
-    q: DualQuaternionMatrix, v0: DualQuaternionVector, cfg: PowerIterConfig
-):
-    """Dominant eigenpair by power iteration in dual quaternion arithmetic.
-
-    Expects Hermitian q and a unit start vector. Non-convergence within the
-    iteration cap is reported in the trace, not raised.
-    """
-    v = v0.unit()
-    trace = IterTrace()
-    lam = DualNumber()
-    for k in range(1, cfg.max_iter + 1):
-        y = q @ v
-        lam, dropped = _cast_quaternion(v.dot(y))
-        res = (y - v.scale_right(lam)).norm_2r()
-        trace.record(lam, res, dropped)
-        v = y.unit()
-        if res <= cfg.tol:
-            trace.converged = True
-            trace.iterations = k
-            return lam, v, trace
-    trace.iterations = cfg.max_iter
-    return lam, v, trace
+# -- per-algebra tables ---------------------------------------------------------
+#
+# Each table computes what the matching object methods compute (__matmul__,
+# dot, scale_right or scale, norm_2r, unit) with the same formulas. unit
+# reduces exactly as the objects do, so the iterates match the object
+# arithmetic bit for bit: the Aitken step amplifies ulp-level differences in
+# its three iterates by about 1/(1 - r)^2 for a convergence ratio r. The
+# Rayleigh quotient and the residual feed no iterate of the loop and reduce
+# with BLAS dot products, which differ from numpy sums in summation order.
 
 
-def _adjoint_power(p: DualComplexMatrix, u0: DualComplexVector, cfg: PowerIterConfig):
-    u = u0.unit()
-    trace = IterTrace()
-    lam = DualNumber()
-    for k in range(1, cfg.max_iter + 1):
-        y = p @ u
-        lam, dropped = _cast_complex(u.dot(y))
-        res = (y - u.scale(lam)).norm_2r()
-        trace.record(lam, res, dropped)
-        u = y.unit()
-        if res <= cfg.tol:
-            trace.converged = True
-            trace.iterations = k
-            return lam, u, trace
-    trace.iterations = cfg.max_iter
-    return lam, u, trace
+def _sq(a) -> float:
+    """Squared 2-norm of a complex array."""
+    return np.vdot(a, a).real
 
 
-def dcam_pm(q: DualQuaternionMatrix, v0: DualQuaternionVector, cfg: PowerIterConfig):
-    """Dominant eigenpair via power iteration on the adjoint matrix."""
-    lam, u, trace = _adjoint_power(adjoint(q), vec_map_f(v0), cfg)
-    return lam, vec_map_f_inverse(u), trace
+def _hdot(x1, x2, y1, y2):
+    # sum over conj(x_i) y_i with x = x1 + x2 j, y = y1 + y2 j
+    a = complex(np.vdot(x1, y1)) + complex(np.vdot(x2, y2)).conjugate()
+    b = complex(np.vdot(x1, y2)) - complex(np.vdot(x2, y1)).conjugate()
+    return a, b
+
+
+class _Quaternion:
+    """Dual quaternion arithmetic on x = (v1, v2, v3, v4): entry i of the
+    vector is (v1 + v2 j) + (v3 + v4 j) eps, as in DualQuaternionVector."""
+
+    def __init__(self, q: DualQuaternionMatrix):
+        self.matrix = q
+        self.a = (q.a1, q.a2, q.a3, q.a4)
+
+    @staticmethod
+    def enter(v: DualQuaternionVector):
+        return v.v1, v.v2, v.v3, v.v4
+
+    @staticmethod
+    def leave(x) -> DualQuaternionVector:
+        return DualQuaternionVector(*x)
+
+    def matvec(self, x):
+        a1, a2, a3, a4 = self.a
+        v1, v2, v3, v4 = x
+        c1, c2 = _qmul(a1, a2, v1, v2)
+        d1a, d2a = _qmul(a1, a2, v3, v4)
+        d1b, d2b = _qmul(a3, a4, v1, v2)
+        return c1, c2, d1a + d1b, d2a + d2b
+
+    @staticmethod
+    def rayleigh(x, y):
+        """Real parts (st, du) of x^* y and the largest dropped component."""
+        v1, v2, v3, v4 = x
+        s1, s2 = _hdot(v1, v2, y[0], y[1])
+        da1, da2 = _hdot(v1, v2, y[2], y[3])
+        db1, db2 = _hdot(v3, v4, y[0], y[1])
+        d1, d2 = da1 + db1, da2 + db2
+        dropped = max(
+            abs(s1.imag), abs(s2.real), abs(s2.imag),
+            abs(d1.imag), abs(d2.real), abs(d2.imag),
+        )
+        return s1.real, d1.real, dropped
+
+    @staticmethod
+    def residual(x, y, st, du):
+        """|y - x (st + du eps)| in the 2R norm."""
+        v1, v2, v3, v4 = x
+        return math.sqrt(
+            _sq(y[0] - v1 * st)
+            + _sq(y[1] - v2 * st)
+            + _sq(y[2] - (v3 * st + v1 * du))
+            + _sq(y[3] - (v4 * st + v2 * du))
+        )
+
+    @staticmethod
+    def unit(y):
+        """Projection onto unit 2-norm vectors (degenerate branch: zero dual part)."""
+        v1, v2, v3, v4 = y
+        st_sq = _sumsq(v1) + _sumsq(v2)
+        if st_sq != 0.0:
+            st = math.sqrt(st_sq)
+            du = (_redot(v1, v3) + _redot(v2, v4)) / st
+            rs, rd = 1.0 / st, -du / (st * st)
+            return v1 * rs, v2 * rs, v3 * rs + v1 * rd, v4 * rs + v2 * rd
+        du_sq = _sumsq(v3) + _sumsq(v4)
+        if du_sq == 0.0:
+            raise ZeroVector("cannot normalize the zero vector")
+        s = 1.0 / math.sqrt(du_sq)
+        z = np.zeros_like(v3)
+        return v3 * s, v4 * s, z, z
+
+    def deflated(self, x, lam: DualNumber) -> "_Quaternion":
+        """Q - lam v v^*."""
+        v = self.leave(x)
+        return _Quaternion(self.matrix - v.outer(v) * lam)
+
+
+class _Adjoint:
+    """Dual complex arithmetic on x = (st, du), the parts of a vector of
+    length 2n, against the 2n x 2n adjoint matrix P = P1 + P2 eps."""
+
+    def __init__(self, p: DualComplexMatrix):
+        self.matrix = p
+        self.p1, self.p2 = p.st, p.du
+
+    @staticmethod
+    def enter(v: DualQuaternionVector):
+        u = vec_map_f(v)
+        return u.st, u.du
+
+    @staticmethod
+    def leave(x) -> DualQuaternionVector:
+        return vec_map_f_inverse(DualComplexVector(*x))
+
+    def matvec(self, x):
+        st, du = x
+        return self.p1 @ st, self.p1 @ du + self.p2 @ st
+
+    @staticmethod
+    def rayleigh(x, y):
+        """Real parts (st, du) of x^* y and the larger dropped imaginary part."""
+        s = complex(np.vdot(x[0], y[0]))
+        d = complex(np.vdot(x[0], y[1])) + complex(np.vdot(x[1], y[0]))
+        return s.real, d.real, max(abs(s.imag), abs(d.imag))
+
+    @staticmethod
+    def residual(x, y, st, du):
+        """|y - x (st + du eps)| in the 2R norm."""
+        return math.sqrt(_sq(y[0] - x[0] * st) + _sq(y[1] - (x[1] * st + x[0] * du)))
+
+    @staticmethod
+    def unit(y):
+        """Projection onto unit 2-norm vectors (degenerate branch: zero dual part)."""
+        st_part, du_part = y
+        st_sq = _sumsq(st_part)
+        if st_sq != 0.0:
+            st = math.sqrt(st_sq)
+            du = _redot(st_part, du_part) / st
+            rs, rd = 1.0 / st, -du / (st * st)
+            return st_part * rs, du_part * rs + st_part * rd
+        du_sq = _sumsq(du_part)
+        if du_sq == 0.0:
+            raise ZeroVector("cannot normalize the zero vector")
+        return du_part / math.sqrt(du_sq), np.zeros_like(du_part)
+
+    @staticmethod
+    def st_norm(x) -> float:
+        """2-norm of the standard part; the Aitken step's collapse guard."""
+        return math.sqrt(_sq(x[0]))
+
+    def deflated(self, x, lam: DualNumber) -> "_Adjoint":
+        """P - lam (u u^* + Hu Hu^*), which removes both adjoint copies of lam."""
+        u = DualComplexVector(*x)
+        h = vec_map_h(u)
+        return _Adjoint(self.matrix - u.outer(u) * lam - h.outer(h) * lam)
+
+
+# -- the loop -------------------------------------------------------------------
 
 
 def _aitken_real(x0, x1, x2, guard):
@@ -166,9 +279,84 @@ def _aitken_real(x0, x1, x2, guard):
 
 
 def _aitken_complex(a0, a1, a2, guard):
-    return _aitken_real(a0.real, a1.real, a2.real, guard) + 1j * _aitken_real(
-        a0.imag, a1.imag, a2.imag, guard
+    # real and imaginary parts extrapolate independently, as interleaved reals
+    parts = (a.view(np.float64) for a in (a0, a1, a2))
+    return _aitken_real(*parts, guard).view(np.complex128)
+
+
+def _aitken_step(alg, hist, tol):
+    """Extrapolated (lam, w, residual) from the last three iterates, or None
+    when the extrapolated pair collapses or misses tol. A negative dominant
+    eigenvalue makes the iterates alternate sign, so the middle one is
+    sign-aligned first."""
+    (xa, sa, da), (xb, sb, db), (xc, sc, dc) = hist
+    sign = 1.0 if sc >= 0.0 else -1.0
+    w = tuple(
+        _aitken_complex(a, b * sign, c, AITKEN_GUARD) for a, b, c in zip(xa, xb, xc)
     )
+    kappa = DualNumber(*_aitken_real((sa, da), (sb, db), (sc, dc), AITKEN_GUARD).tolist())
+    # cancellation collapse would shrink the standard part toward 0
+    if alg.st_norm(w) < 0.5:
+        return None
+    res_w = alg.residual(w, alg.matvec(w), kappa.st, kappa.du)
+    return (kappa, w, res_w) if res_w <= tol else None
+
+
+def _power(alg, x, cfg: PowerIterConfig, aitken: bool = False):
+    """Power iteration from x in alg's arithmetic; returns (lam, x, trace).
+
+    Without Aitken the loop stops once the raw residual meets cfg.tol and
+    returns the last estimate with the normalized last image. With Aitken it
+    stops only on an extrapolated pair that meets cfg.tol, tried each step
+    once the raw residual reaches cfg.aitken_trigger; that exit appends the
+    extrapolated pair as one extra trace record.
+    """
+    x = alg.unit(x)
+    trace = IterTrace()
+    hist = deque(maxlen=3)
+    for k in range(1, cfg.max_iter + 1):
+        y = alg.matvec(x)
+        st, du, dropped = alg.rayleigh(x, y)
+        res = alg.residual(x, y, st, du)
+        lam = DualNumber(st, du)
+        trace.record(lam, res, dropped)
+        x = alg.unit(y)
+        if aitken:
+            hist.append((x, st, du))
+            if res <= cfg.aitken_trigger and len(hist) == 3:
+                step = _aitken_step(alg, hist, cfg.tol)
+                if step is not None:
+                    lam, w, res_w = step
+                    trace.record(lam, res_w, 0.0)
+                    x = alg.unit(w)
+                    trace.converged = True
+        elif res <= cfg.tol:
+            trace.converged = True
+        if trace.converged:
+            trace.iterations = k
+            return lam, x, trace
+    trace.iterations = cfg.max_iter
+    return lam, x, trace
+
+
+def power_method_baseline(
+    q: DualQuaternionMatrix, v0: DualQuaternionVector, cfg: PowerIterConfig
+):
+    """Dominant eigenpair by power iteration in dual quaternion arithmetic.
+
+    Expects Hermitian q and a unit start vector. Non-convergence within the
+    iteration cap is reported in the trace, not raised.
+    """
+    alg = _Quaternion(q)
+    lam, x, trace = _power(alg, alg.enter(v0), cfg)
+    return lam, alg.leave(x), trace
+
+
+def dcam_pm(q: DualQuaternionMatrix, v0: DualQuaternionVector, cfg: PowerIterConfig):
+    """Dominant eigenpair via power iteration on the adjoint matrix."""
+    alg = _Adjoint(adjoint(q))
+    lam, x, trace = _power(alg, alg.enter(v0), cfg)
+    return lam, alg.leave(x), trace
 
 
 def aitken_extrapolate(x0, x1, x2, guard: float = AITKEN_GUARD):
@@ -208,33 +396,12 @@ def adcam_pm(q: DualQuaternionMatrix, v0: DualQuaternionVector, cfg: PowerIterCo
     When the dominant eigenvalue is negative the iterate sequence alternates
     sign, so the history is sign-aligned before extrapolating.
     """
-    p = adjoint(q)
-    u = vec_map_f(v0).unit()
-    trace = IterTrace()
-    hist = deque(maxlen=3)
-    lam = DualNumber()
-    for k in range(1, cfg.max_iter + 1):
-        y = p @ u
-        lam, dropped = _cast_complex(u.dot(y))
-        res = (y - u.scale(lam)).norm_2r()
-        trace.record(lam, res, dropped)
-        u = y.unit()
-        hist.append((u, lam))
-        if res <= cfg.aitken_trigger and len(hist) == 3:
-            (ua, la), (ub, lb), (uc, lc) = hist
-            sign = 1.0 if lam.st >= 0.0 else -1.0
-            w = aitken_extrapolate(ua, ub * sign, uc)
-            kappa = aitken_extrapolate(la, lb, lc)
-            # cancellation collapse would shrink the standard part toward 0
-            if math.sqrt(float(np.sum(np.abs(w.st) ** 2))) >= 0.5:
-                res_w = (p @ w - w.scale(kappa)).norm_2r()
-                if res_w <= cfg.tol:
-                    trace.record(kappa, res_w, 0.0)
-                    trace.converged = True
-                    trace.iterations = k
-                    return kappa, vec_map_f_inverse(w.unit()), trace
-    trace.iterations = cfg.max_iter
-    return lam, vec_map_f_inverse(u), trace
+    alg = _Adjoint(adjoint(q))
+    lam, x, trace = _power(alg, alg.enter(v0), cfg, aitken=True)
+    return lam, alg.leave(x), trace
+
+
+# -- deflation ------------------------------------------------------------------
 
 
 def _spectrum_result(q, found, iterations):
@@ -245,6 +412,32 @@ def _spectrum_result(q, found, iterations):
     else:
         residual = 0.0
     return EigenResult(pairs, residual, iterations)
+
+
+def _deflate(q: DualQuaternionMatrix, alg, cfg: PowerIterConfig, deflate_tol) -> EigenResult:
+    """All eigenpairs by repeated dominant extraction and deflation of
+    alg.matrix; each inner loop restarts from the seeded random vector of
+    its pair index."""
+    n = q.rows
+    if deflate_tol is None:
+        deflate_tol = 1e-8 * max(1.0, alg.matrix.norm_fr())
+    found = []
+    iterations = 0
+    for k in range(1, n + 1):
+        if alg.matrix.norm_fr() <= deflate_tol:
+            break
+        rng = np.random.default_rng([cfg.seed, k])
+        lam, x, tr = _power(alg, alg.enter(random_unit_vector(n, rng)), cfg)
+        iterations += tr.iterations
+        if not tr.converged:
+            raise InnerNoConvergence(
+                f"inner power loop {k} failed to converge in {cfg.max_iter} iterations",
+                partial=_spectrum_result(q, found, iterations),
+                pair_index=k,
+            )
+        found.append((lam, alg.leave(x)))
+        alg = alg.deflated(x, lam)
+    return _spectrum_result(q, found, iterations)
 
 
 def dcama_pm(
@@ -259,29 +452,7 @@ def dcama_pm(
     restarts from a fresh seeded random vector. A non-converging inner loop
     raises InnerNoConvergence with the partial result attached.
     """
-    n = q.rows
-    p = adjoint(q)
-    if deflate_tol is None:
-        deflate_tol = 1e-8 * max(1.0, p.norm_fr())
-    found = []
-    iterations = 0
-    for k in range(1, n + 1):
-        if p.norm_fr() <= deflate_tol:
-            break
-        rng = np.random.default_rng([cfg.seed, k])
-        u0 = vec_map_f(random_unit_vector(n, rng))
-        lam, u, tr = _adjoint_power(p, u0, cfg)
-        iterations += tr.iterations
-        if not tr.converged:
-            raise InnerNoConvergence(
-                f"inner power loop {k} failed to converge in {cfg.max_iter} iterations",
-                partial=_spectrum_result(q, found, iterations),
-                pair_index=k,
-            )
-        found.append((lam, vec_map_f_inverse(u)))
-        partner = vec_map_h(u)
-        p = p - u.outer(u) * lam - partner.outer(partner) * lam
-    return _spectrum_result(q, found, iterations)
+    return _deflate(q, _Adjoint(adjoint(q)), cfg, deflate_tol)
 
 
 def power_method_spectrum(
@@ -289,29 +460,8 @@ def power_method_spectrum(
 ) -> EigenResult:
     """All eigenpairs by deflation in plain dual quaternion arithmetic.
 
-    The reference full-spectrum driver: extract the dominant pair with
-    power_method_baseline, subtract lam * v v^*, repeat. Same stopping and
-    failure contract as dcama_pm.
+    The reference full-spectrum driver: extract the dominant pair by power
+    iteration in dual quaternion arithmetic, subtract lam * v v^*, repeat.
+    Same stopping and failure contract as dcama_pm.
     """
-    n = q.rows
-    if deflate_tol is None:
-        deflate_tol = 1e-8 * max(1.0, q.norm_fr())
-    work = q
-    found = []
-    iterations = 0
-    for k in range(1, n + 1):
-        if work.norm_fr() <= deflate_tol:
-            break
-        rng = np.random.default_rng([cfg.seed, k])
-        v0 = random_unit_vector(n, rng)
-        lam, v, tr = power_method_baseline(work, v0, cfg)
-        iterations += tr.iterations
-        if not tr.converged:
-            raise InnerNoConvergence(
-                f"inner power loop {k} failed to converge in {cfg.max_iter} iterations",
-                partial=_spectrum_result(q, found, iterations),
-                pair_index=k,
-            )
-        found.append((lam, v))
-        work = work - v.outer(v) * lam
-    return _spectrum_result(q, found, iterations)
+    return _deflate(q, _Quaternion(q), cfg, deflate_tol)

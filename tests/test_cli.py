@@ -7,6 +7,9 @@ import pytest
 from dqeig.bench import pentagon_fixture, random_hermitian
 from dqeig.cli import load_matrix, main, save_matrix
 from dqeig.errors import ParseError
+from dqeig.matrices import DualQuaternionVector
+from dqeig.power import pair_residual
+from dqeig.scalars import DualNumber
 from tests.test_matrices import rand_dq_matrix
 
 
@@ -86,6 +89,34 @@ class TestSolve:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["converged"] is True and len(doc["eigenvalues"]) == 1
+
+    @pytest.mark.parametrize("alg", ["dcam", "adcam"])
+    def test_e_lambda_is_the_residual_of_the_returned_pair(self, alg, tmp_path, capsys):
+        path = str(tmp_path / "m.json")
+        save_matrix(path, random_hermitian(8, 3))
+        assert main(["solve", path, "--alg", alg, "--max-iter", "50000"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        comp = np.array(doc["eigenvectors"][0])
+        v = DualQuaternionVector(
+            comp[:, 0] + 1j * comp[:, 1],
+            comp[:, 2] + 1j * comp[:, 3],
+            comp[:, 4] + 1j * comp[:, 5],
+            comp[:, 6] + 1j * comp[:, 7],
+        )
+        lam = DualNumber(*doc["eigenvalues"][0])
+        residual = pair_residual(load_matrix(path), lam, v)
+        assert doc["e_lambda"] == pytest.approx(residual, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "flags", [["--tol", "0"], ["--tol", "nan"], ["--max-iter", "0"]],
+        ids=["tol-0", "tol-nan", "max-iter-0"],
+    )
+    def test_bad_config_exits_1_with_one_line(self, flags, pentagon_file, capsys):
+        assert main(["solve", pentagon_file, "--alg", "dcam", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_truncated_file_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -231,6 +231,20 @@ class TestEddcamEa:
             assert max(abs(top.st.x), abs(top.st.y), abs(top.st.z)) <= 1e-12
             assert max(abs(top.du.x), abs(top.du.y), abs(top.du.z)) <= 1e-12
 
+    def test_negated_spectrum_solves_to_negated_eigenvalues(self):
+        # a planted spectrum spanning eight orders of magnitude; eigh leaves
+        # the small eigenvalues split by about eps * 1e8, which only a
+        # cluster scale of max |lam| absorbs, whichever sign dominates
+        sigma = (DualNumber(1e8, 1.0), DualNumber(5e7, 2.0), DualNumber(0.5), DualNumber(0.2))
+        q, _ = synth_known_spectrum(4, sigma, 1)
+        q = (q + q.conj_transpose()) * 0.5
+        pos = eddcam_ea(q).eigenvalues()
+        neg = eddcam_ea(-q).eigenvalues()
+        assert len(neg) == len(pos) == 4
+        for a, b in zip(neg, reversed(pos)):
+            assert abs(a.st + b.st) <= 1e-14 * 1e8
+            assert abs(a.du + b.du) <= 1e-12
+
     def test_descending_order(self):
         q = random_hermitian(7, np.random.default_rng(50))
         lams = eddcam_ea(q).eigenvalues()

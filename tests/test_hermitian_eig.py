@@ -103,5 +103,13 @@ class TestClusterEigenvalues:
         assert clusters[0][1] == 2
         assert abs(clusters[0][0] - (1e6 - 5e-4)) <= 1e-6
 
+    def test_threshold_scale_ignores_sign(self):
+        # the largest |value| sets the scale at either end of the list
+        values = [1e6, 1e6 - 1e-3, 0.5, 0.5 - 1e-3]
+        clusters = cluster_eigenvalues(values, 1e-8)
+        mirrored = cluster_eigenvalues([-x for x in reversed(values)], 1e-8)
+        assert [c for _, c in clusters] == [2, 2]
+        assert mirrored == [(-x, c) for x, c in reversed(clusters)]
+
     def test_empty(self):
         assert cluster_eigenvalues([], 1e-8) == []
