@@ -16,7 +16,14 @@ import numpy as np
 
 from .dual_eig import eddcam_ea
 from .errors import DegenerateRandomDraw, InnerNoConvergence, SparsityTooHigh
-from .matrices import DualQuaternionMatrix, DualQuaternionVector, random_unit_vector
+from .matrices import (
+    DualQuaternionMatrix,
+    _dq_dot,
+    _dq_mul,
+    _dual_norm,
+    _unit,
+    random_unit_vector,
+)
 from .power import (
     PowerIterConfig,
     adcam_pm,
@@ -215,17 +222,17 @@ def synth_known_spectrum(n: int, sigma, seed):
     rng = np.random.default_rng(seed)
     g1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     g2 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    zero = np.zeros(n, dtype=np.complex128)
     basis = []
     for j in range(n):
-        v = DualQuaternionVector(g1[:, j], g2[:, j])
+        v = (g1[:, j], g2[:, j], zero, zero)
         for u in basis:
-            v = v - u.scale_right(u.dot(v))
-        nrm = v.norm_2()
-        if nrm.st <= 1e-8:
+            v = tuple(a - b for a, b in zip(v, _dq_mul(u, _dq_dot(u, v), np.multiply)))
+        if _dual_norm(v)[0] <= 1e-8:
             raise DegenerateRandomDraw("random columns were numerically dependent")
-        basis.append(v.scale_right(nrm.reciprocal()))
-    v1 = np.column_stack([u.v1 for u in basis])
-    v2 = np.column_stack([u.v2 for u in basis])
+        basis.append(_unit(v))
+    v1 = np.column_stack([u[0] for u in basis])
+    v2 = np.column_stack([u[1] for u in basis])
     vmat = DualQuaternionMatrix(v1, v2)
     diag = DualQuaternionMatrix(
         np.diag([s.st for s in sigma]).astype(np.complex128),
@@ -241,7 +248,6 @@ def synth_known_spectrum(n: int, sigma, seed):
 _BENCH_DEFAULTS = {
     "aitken": {"tol": 1e-6, "max_iter": 50000},
     "laplacian": {"tol": 1e-10, "max_iter": 50000},
-    "pentagon": {"tol": 1e-6, "max_iter": 5000},
 }
 
 
@@ -322,39 +328,6 @@ def _laplacian_trial(args):
     return records
 
 
-def _pentagon_trial(args):
-    seed, tol, max_iter = args
-    fixture = pentagon_fixture()
-    cfg = PowerIterConfig(max_iter=max_iter, tol=tol, aitken_trigger=1e-3, seed=seed)
-    records = []
-    for name in ("eddcam", "pm"):
-        t0 = time.perf_counter()
-        converged = True
-        if name == "eddcam":
-            result = eddcam_ea(fixture)
-        else:
-            try:
-                result = power_method_spectrum(fixture, cfg)
-            except InnerNoConvergence as exc:
-                result = exc.partial
-                converged = False
-        dt = time.perf_counter() - t0
-        records.append(
-            BenchRecord(
-                algorithm=name,
-                n=5,
-                sparsity=None,
-                seed=seed,
-                trial=0,
-                e_lambda=result.residual,
-                iterations=float(result.iterations),
-                wall_seconds=dt,
-                converged=converged,
-            )
-        )
-    return records
-
-
 def run_benchmark(
     kind: str,
     *,
@@ -381,7 +354,7 @@ def run_benchmark(
     if kind == "aitken":
         fn = _aitken_trial
         tasks = [(n, t, seed, tol, max_iter) for n in sizes for t in range(trials)]
-    elif kind == "laplacian":
+    else:
         fn = _laplacian_trial
         tasks = [
             (n, s, t, seed, tol, max_iter)
@@ -389,9 +362,6 @@ def run_benchmark(
             for s in sparsities
             for t in range(trials)
         ]
-    else:
-        fn = _pentagon_trial
-        tasks = [(seed, tol, max_iter)]
 
     workers = _worker_count()
     if workers > 1 and len(tasks) > 1:

@@ -29,7 +29,7 @@ from .bench import (
     pentagon_fixture,
     run_benchmark,
 )
-from .dual_eig import eddcam_ea
+from .dual_eig import _check_hermitian, eddcam_ea
 from .errors import DQEigError, InnerNoConvergence, ParseError
 from .matrices import DualQuaternionMatrix, DualQuaternionVector, random_unit_vector
 from .power import (
@@ -56,15 +56,21 @@ def load_matrix(path: str) -> DualQuaternionMatrix:
     try:
         n = int(doc["n"])
         entries = doc["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed matrix document: {exc}") from exc
+    if not isinstance(entries, list):
+        raise ParseError("'entries' must be a list")
     if n < 1 or len(entries) != n * n:
         raise ParseError(f"expected {n * n} entries, found {len(entries)}")
-    comp = np.empty((n * n, 8), dtype=float)
     for k, row in enumerate(entries):
-        if len(row) != 8:
-            raise ParseError(f"entry {k} must have 8 components")
-        comp[k] = [float(x) for x in row]
+        if not isinstance(row, list) or len(row) != 8:
+            raise ParseError(f"entry {k} must be a list of 8 components")
+    try:
+        comp = np.array(entries, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"entry components must be numbers: {exc}") from exc
+    if comp.ndim != 2 or not np.isfinite(comp).all():
+        raise ParseError("entry components must be finite numbers")
     comp = comp.reshape(n, n, 8)
     return DualQuaternionMatrix(
         comp[:, :, 0] + 1j * comp[:, :, 1],
@@ -74,27 +80,23 @@ def load_matrix(path: str) -> DualQuaternionMatrix:
     )
 
 
+def _rows8(parts):
+    """One [q0, q1, q2, q3, d0, d1, d2, d3] row per entry, row-major, from the
+    complex parts (w + x i, y + z i) of the standard and the dual part."""
+    comp = np.stack([f(a) for a in parts for f in (np.real, np.imag)], axis=-1)
+    return comp.reshape(-1, 8).tolist()
+
+
 def save_matrix(path: str, m: DualQuaternionMatrix) -> None:
     """Write a dqh-1 matrix file; round-trips bit-exactly."""
-    entries = []
-    for i in range(m.rows):
-        for j in range(m.cols):
-            q = m.entry(i, j)
-            entries.append(
-                [q.st.w, q.st.x, q.st.y, q.st.z, q.du.w, q.du.x, q.du.y, q.du.z]
-            )
-    doc = {"format": "dqh-1", "n": m.rows, "entries": entries}
+    doc = {"format": "dqh-1", "n": m.rows, "entries": _rows8(m._parts)}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        # json.dumps uses the C encoder, json.dump the pure-Python one; same text
+        fh.write(json.dumps(doc) + "\n")
 
 
 def _vector_components(v: DualQuaternionVector):
-    out = []
-    for i in range(v.n):
-        q = v.entry(i)
-        out.append([q.st.w, q.st.x, q.st.y, q.st.z, q.du.w, q.du.x, q.du.y, q.du.z])
-    return out
+    return _rows8(v._parts)
 
 
 def _result_doc(algorithm, n, pairs, residual, iterations, converged):
@@ -138,12 +140,10 @@ def cmd_solve(args) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if not matrix.is_hermitian(1e-10):
-        print("error: matrix is not Hermitian within 1e-10", file=sys.stderr)
-        return 1
     n = matrix.rows
     converged = True
     try:
+        _check_hermitian(matrix)
         if args.alg == "eddcam":
             res = eddcam_ea(matrix)
             doc = _result_doc("eddcam", n, res.pairs, res.residual, 0, True)
@@ -175,6 +175,12 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     if args.trials < 1:
         print("error: --trials must be positive", file=sys.stderr)
+        return 1
+    if args.sizes and min(args.sizes) < 1:
+        print("error: --sizes must be positive", file=sys.stderr)
+        return 1
+    if args.sparsities and not all(0.0 < s <= 1.0 for s in args.sparsities):
+        print("error: --sparsities must lie in (0, 1]", file=sys.stderr)
         return 1
     kwargs = {"trials": args.trials, "seed": args.seed}
     if args.sizes:

@@ -15,7 +15,8 @@ dual numbers lam_i + mu_ij*eps.
 EDDCAM-EA applies this to the adjoint of a dual quaternion Hermitian matrix:
 every eigenvalue shows up there with doubled multiplicity, each group of
 adjoint eigenvectors maps back through F^-1, and Gram-Schmidt in dual
-quaternion arithmetic strips the redundant half.
+quaternion arithmetic, run on the raw component arrays, strips the redundant
+half.
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,17 @@ import numpy as np
 from .adjoint import adjoint, vec_map_f_inverse
 from .errors import ClusterInstability, NotAnEigenvector, NotHermitian
 from .hermitian_eig import cluster_eigenvalues, eig_hermitian
-from .matrices import DualComplexMatrix, DualQuaternionMatrix, DualQuaternionVector
+from .matrices import (
+    DualComplexMatrix,
+    DualQuaternionMatrix,
+    DualQuaternionVector,
+    _dq_dot,
+    _dq_mul,
+    _dual_norm,
+    _eig_residual,
+    _norm_2r,
+    _unit,
+)
 from .scalars import DualNumber
 
 __all__ = [
@@ -66,15 +77,21 @@ class EigenResult:
         return [v for _, vecs in self.pairs for v in vecs]
 
 
+def _check_hermitian(m) -> None:
+    """NotHermitian unless the dual quaternion or dual complex matrix m is
+    square and Hermitian within 1e-10 * max(1, its largest entry)."""
+    if m.rows != m.cols:
+        raise NotHermitian(f"matrix is not square: {m.shape}")
+    scale = max(1.0, *(float(np.abs(a).max(initial=0.0)) for a in m._parts))
+    if not m.is_hermitian(1e-10 * scale):
+        raise NotHermitian("matrix is not Hermitian within 1e-10 of its largest entry")
+
+
 def eig_dual_complex_hermitian(
     p: DualComplexMatrix, tol_group: float = 1e-8
 ) -> DualEigenDecomposition:
     """Eigendecomposition of a dual complex Hermitian matrix."""
-    if p.rows != p.cols:
-        raise NotHermitian(f"matrix is not square: {p.shape}")
-    if not p.is_hermitian(1e-10 * max(1.0, float(np.abs(p.st).max(initial=0.0)),
-                                      float(np.abs(p.du).max(initial=0.0)))):
-        raise NotHermitian("both parts must be Hermitian within 1e-10")
+    _check_hermitian(p)
 
     base = eig_hermitian(p.st)
     clusters = cluster_eigenvalues(base.values, tol_group)
@@ -131,20 +148,25 @@ def orthogonalize_eigenvectors(
     Candidates whose remainder has a standard-part norm at or below tol_rank
     are redundant and dropped; survivors are orthonormal eigenvectors.
     """
+    if not vs:
+        return []
     scale = max(1.0, q.norm_fr())
-    for v in vs:
-        res = (q @ v - v.scale_right(lam)).norm_2r()
-        if res > 1e-8 * scale * max(1.0, v.norm_2r()):
-            raise NotAnEigenvector(f"candidate residual {res:.3e} too large for {lam}")
+    # the whole group is checked with one product of Q and the stacked candidates
+    stacked = tuple(np.stack(part, axis=1) for part in zip(*(v._parts for v in vs)))
+    sizes = _norm_2r(stacked, axis=0)
+    res = _eig_residual(q._parts, stacked, lam.st, lam.du, axis=0)
+    bad = np.flatnonzero(res > 1e-8 * scale * np.maximum(1.0, sizes))
+    if bad.size:
+        raise NotAnEigenvector(f"candidate residual {res[bad[0]]:.3e} too large for {lam}")
     out = []
     for v in vs:
-        w = v
+        x = w = v._parts
         for u in out:
-            w = w - u.scale_right(u.dot(v))
-        nrm = w.norm_2()
-        if nrm.st > tol_rank * max(1.0, v.norm_2r()):
-            out.append(w.scale_right(nrm.reciprocal()))
-    return out
+            c = _dq_mul(u, _dq_dot(u, x), np.multiply)
+            w = tuple(a - b for a, b in zip(w, c))
+        if _dual_norm(w)[0] > tol_rank * max(1.0, v.norm_2r()):
+            out.append(_unit(w))
+    return [DualQuaternionVector(*x) for x in out]
 
 
 def _canonical_phase(v: DualQuaternionVector) -> DualQuaternionVector:
@@ -173,11 +195,8 @@ def eddcam_ea(
     column back with F^-1 -> orthogonalize within each group. Each group of
     adjoint multiplicity t yields exactly t/2 eigenvectors.
     """
+    _check_hermitian(q)
     n = q.rows
-    if q.rows != q.cols:
-        raise NotHermitian(f"matrix is not square: {q.shape}")
-    if not q.is_hermitian(1e-10):
-        raise NotHermitian("matrix must be Hermitian within 1e-10")
     if n == 0:
         return EigenResult((), 0.0)
 
@@ -216,6 +235,6 @@ def eddcam_ea(
             "eigenvalue grouping is unstable at this tolerance"
         )
     residuals = [
-        (q @ v - v.scale_right(lam)).norm_2r() for lam, vecs in pairs for v in vecs
+        _eig_residual(q._parts, v._parts, lam.st, lam.du) for lam, vecs in pairs for v in vecs
     ]
     return EigenResult(tuple(pairs), float(np.mean(residuals)))

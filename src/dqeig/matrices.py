@@ -8,6 +8,12 @@ arithmetic run on complex ndarrays:
 
     (A + B j)(C + D j) = (AC - B conj(D)) + (AD + B conj(C)) j
     (A + B j)^*        = (conj(A)^T, -B^T)
+
+Each dual-algebra formula is written once, as a kernel over raw parts: a
+dual quaternion array is the tuple (a1, a2, a3, a4) and a dual complex one
+the tuple (st, du), so the first half of a tuple is the standard part and the
+second half the dual part. The object methods are thin wrappers over these
+kernels, and the solvers' hot paths call them on bare arrays.
 """
 
 import math
@@ -42,9 +48,103 @@ def _freeze(*arrays):
     return out
 
 
-def _qmul(a1, a2, b1, b2):
-    # (A1 + A2 j)(B1 + B2 j); also valid for matrix @ vector
-    return a1 @ b1 - a2 @ b2.conj(), a1 @ b2 + a2 @ b1.conj()
+# -- kernels on raw parts --------------------------------------------------------
+
+
+# np.add.reduce(a, axis) is a.sum(axis) without the Python-level wrapper; these
+# run on short vectors in every power iteration
+
+
+def _sumsq(a, axis=None):
+    re, im = a.real, a.imag
+    return np.add.reduce(re * re + im * im, axis)
+
+
+def _redot(a, b) -> float:
+    """Real part of <a, b>, i.e. sc(tr(A* B)) summed over entries."""
+    return float(np.add.reduce(a.real * b.real + a.imag * b.imag, None))
+
+
+def _qmul(a1, a2, b1, b2, mul):
+    # (A1 + A2 j)(B1 + B2 j)
+    return mul(a1, b1) - mul(a2, np.conj(b2)), mul(a1, b2) + mul(a2, np.conj(b1))
+
+
+def _dq_mul(a, b, mul=np.matmul):
+    """Dual quaternion product a b: matrix @ matrix or matrix @ vector, or with
+    mul=np.multiply an array right-multiplied entrywise by a scalar."""
+    a1, a2, a3, a4 = a
+    b1, b2, b3, b4 = b
+    c1, c2 = _qmul(a1, a2, b1, b2, mul)
+    d1a, d2a = _qmul(a1, a2, b3, b4, mul)
+    d1b, d2b = _qmul(a3, a4, b1, b2, mul)
+    return c1, c2, d1a + d1b, d2a + d2b
+
+
+def _dc_mul(a, b):
+    """Dual complex product a @ b."""
+    return a[0] @ b[0], a[0] @ b[1] + a[1] @ b[0]
+
+
+def _dq_dot(x, y):
+    """conj(x)^T y of dual quaternion vectors as complex pairs (s1, s2, d1, d2)."""
+
+    def hdot(x1, x2, y1, y2):
+        # sum over conj(x_i) y_i with x = x1 + x2 j, y = y1 + y2 j
+        a = np.sum(np.conj(x1) * y1 + x2 * np.conj(y2))
+        b = np.sum(np.conj(x1) * y2 - x2 * np.conj(y1))
+        return complex(a), complex(b)
+
+    x1, x2, x3, x4 = x
+    s1, s2 = hdot(x1, x2, y[0], y[1])
+    da1, da2 = hdot(x1, x2, y[2], y[3])
+    db1, db2 = hdot(x3, x4, y[0], y[1])
+    return s1, s2, da1 + db1, da2 + db2
+
+
+def _scale_dual(x, st, du):
+    """x (st + du eps), for either algebra."""
+    out = [a * st for a in x]
+    for a, b in zip(x, out[len(x) // 2:]):
+        b += a * du
+    return tuple(out)
+
+
+def _dual_norm(x):
+    """(st, du) of the dual 2-norm (Frobenius for matrices); when the standard
+    part vanishes the norm is pure dual, (0, |dual part|)."""
+    k = len(x) // 2
+    st_sq = cross = 0.0
+    for a, b in zip(x, x[k:]):
+        st_sq += _sumsq(a)
+        cross += _redot(a, b)
+    if st_sq != 0.0:
+        st = math.sqrt(st_sq)
+        return st, cross / st
+    return 0.0, math.sqrt(sum(map(_sumsq, x[k:])))
+
+
+def _norm_2r(x, axis=None):
+    """sqrt of the sum of squared moduli over all parts; per column with axis=0."""
+    return np.sqrt(sum([_sumsq(a, axis) for a in x]))
+
+
+def _unit(x):
+    """Projection onto unit 2-norm: x times the reciprocal of its dual norm; a
+    pure-dual x becomes its dual part times 1/|dual part|, with zero dual part."""
+    st, du = _dual_norm(x)
+    if st != 0.0:
+        return _scale_dual(x, 1.0 / st, -du / (st * st))
+    if du == 0.0:
+        raise ZeroVector("cannot normalize the zero vector")
+    d = x[len(x) // 2:]
+    return (*[b * (1.0 / du) for b in d], *[np.zeros_like(b) for b in d])
+
+
+def _eig_residual(a, x, st, du, axis=None):
+    """|A x - x (st + du eps)| in the 2R norm; per column with axis=0."""
+    y = _dq_mul(a, x)
+    return _norm_2r(tuple(p - r for p, r in zip(y, _scale_dual(x, st, du))), axis)
 
 
 class DualQuaternionMatrix:
@@ -100,6 +200,10 @@ class DualQuaternionMatrix:
     # -- shape and access --------------------------------------------------
 
     @property
+    def _parts(self):
+        return self.a1, self.a2, self.a3, self.a4
+
+    @property
     def shape(self):
         return self.a1.shape
 
@@ -139,12 +243,7 @@ class DualQuaternionMatrix:
         if isinstance(s, (int, float)):
             return DualQuaternionMatrix(self.a1 * s, self.a2 * s, self.a3 * s, self.a4 * s)
         if isinstance(s, DualNumber):
-            return DualQuaternionMatrix(
-                self.a1 * s.st,
-                self.a2 * s.st,
-                self.a3 * s.st + self.a1 * s.du,
-                self.a4 * s.st + self.a2 * s.du,
-            )
+            return DualQuaternionMatrix(*_scale_dual(self._parts, s.st, s.du))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -153,17 +252,11 @@ class DualQuaternionMatrix:
         if isinstance(other, DualQuaternionMatrix):
             if self.cols != other.rows:
                 raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-            c1, c2 = _qmul(self.a1, self.a2, other.a1, other.a2)
-            d1a, d2a = _qmul(self.a1, self.a2, other.a3, other.a4)
-            d1b, d2b = _qmul(self.a3, self.a4, other.a1, other.a2)
-            return DualQuaternionMatrix(c1, c2, d1a + d1b, d2a + d2b)
+            return DualQuaternionMatrix(*_dq_mul(self._parts, other._parts))
         if isinstance(other, DualQuaternionVector):
             if self.cols != other.n:
                 raise DimensionMismatch(f"{self.shape} @ vector of length {other.n}")
-            c1, c2 = _qmul(self.a1, self.a2, other.v1, other.v2)
-            d1a, d2a = _qmul(self.a1, self.a2, other.v3, other.v4)
-            d1b, d2b = _qmul(self.a3, self.a4, other.v1, other.v2)
-            return DualQuaternionVector(c1, c2, d1a + d1b, d2a + d2b)
+            return DualQuaternionVector(*_dq_mul(self._parts, other._parts))
         return NotImplemented
 
     def conj_transpose(self) -> "DualQuaternionMatrix":
@@ -187,16 +280,11 @@ class DualQuaternionMatrix:
 
     def norm_f(self) -> DualNumber:
         """Frobenius norm as a dual number, with the pure-dual degenerate branch."""
-        st_sq = _sumsq(self.a1) + _sumsq(self.a2)
-        if st_sq != 0.0:
-            st = math.sqrt(st_sq)
-            cross = _redot(self.a1, self.a3) + _redot(self.a2, self.a4)
-            return DualNumber(st, cross / st)
-        return DualNumber(0.0, math.sqrt(_sumsq(self.a3) + _sumsq(self.a4)))
+        return DualNumber(*_dual_norm(self._parts))
 
     def norm_fr(self) -> float:
         """sqrt of the sum of squared Frobenius norms of both parts."""
-        return math.sqrt(_sumsq(self.a1) + _sumsq(self.a2) + _sumsq(self.a3) + _sumsq(self.a4))
+        return float(_norm_2r(self._parts))
 
 
 class DualQuaternionVector:
@@ -235,6 +323,10 @@ class DualQuaternionVector:
             v1[i], v2[i] = q.st.as_complex_pair()
             v3[i], v4[i] = q.du.as_complex_pair()
         return cls(v1, v2, v3, v4)
+
+    @property
+    def _parts(self):
+        return self.v1, self.v2, self.v3, self.v4
 
     @property
     def n(self) -> int:
@@ -278,39 +370,15 @@ class DualQuaternionVector:
     def scale_right(self, c) -> "DualQuaternionVector":
         """Entrywise right multiplication by a scalar dual quaternion or dual number."""
         if isinstance(c, DualNumber):
-            return DualQuaternionVector(
-                self.v1 * c.st,
-                self.v2 * c.st,
-                self.v3 * c.st + self.v1 * c.du,
-                self.v4 * c.st + self.v2 * c.du,
-            )
-        c1, c2 = c.st.as_complex_pair()
-        c3, c4 = c.du.as_complex_pair()
-
-        def rmul(x1, x2, b1, b2):
-            # (x1 + x2 j)(b1 + b2 j) with scalar b
-            return x1 * b1 - x2 * np.conj(b2), x1 * b2 + x2 * np.conj(b1)
-
-        s1, s2 = rmul(self.v1, self.v2, c1, c2)
-        d1a, d2a = rmul(self.v1, self.v2, c3, c4)
-        d1b, d2b = rmul(self.v3, self.v4, c1, c2)
-        return DualQuaternionVector(s1, s2, d1a + d1b, d2a + d2b)
+            return DualQuaternionVector(*_scale_dual(self._parts, c.st, c.du))
+        c = c.st.as_complex_pair() + c.du.as_complex_pair()
+        return DualQuaternionVector(*_dq_mul(self._parts, c, np.multiply))
 
     def dot(self, other: "DualQuaternionVector") -> DualQuaternion:
         """conj(self)^T other, a scalar dual quaternion."""
-
-        def hdot(x1, x2, y1, y2):
-            # sum over conj(x_i) y_i with x = x1 + x2 j, y = y1 + y2 j
-            a = np.sum(np.conj(x1) * y1 + x2 * np.conj(y2))
-            b = np.sum(np.conj(x1) * y2 - x2 * np.conj(y1))
-            return complex(a), complex(b)
-
-        s1, s2 = hdot(self.v1, self.v2, other.v1, other.v2)
-        da1, da2 = hdot(self.v1, self.v2, other.v3, other.v4)
-        db1, db2 = hdot(self.v3, self.v4, other.v1, other.v2)
+        s1, s2, d1, d2 = _dq_dot(self._parts, other._parts)
         return DualQuaternion(
-            Quaternion.from_complex_pair(s1, s2),
-            Quaternion.from_complex_pair(da1 + db1, da2 + db2),
+            Quaternion.from_complex_pair(s1, s2), Quaternion.from_complex_pair(d1, d2)
         )
 
     def outer(self, other: "DualQuaternionVector") -> DualQuaternionMatrix:
@@ -328,28 +396,14 @@ class DualQuaternionVector:
 
     def norm_2(self) -> DualNumber:
         """2-norm as a dual number; pure-dual vectors get |du| * eps."""
-        st_sq = _sumsq(self.v1) + _sumsq(self.v2)
-        if st_sq != 0.0:
-            st = math.sqrt(st_sq)
-            cross = _redot(self.v1, self.v3) + _redot(self.v2, self.v4)
-            return DualNumber(st, cross / st)
-        return DualNumber(0.0, math.sqrt(_sumsq(self.v3) + _sumsq(self.v4)))
+        return DualNumber(*_dual_norm(self._parts))
 
     def norm_2r(self) -> float:
-        return math.sqrt(_sumsq(self.v1) + _sumsq(self.v2) + _sumsq(self.v3) + _sumsq(self.v4))
+        return float(_norm_2r(self._parts))
 
     def unit(self) -> "DualQuaternionVector":
         """Projection onto unit 2-norm vectors (degenerate branch: zero dual part)."""
-        st_sq = _sumsq(self.v1) + _sumsq(self.v2)
-        if st_sq != 0.0:
-            nrm = self.norm_2()
-            return self.scale_right(nrm.reciprocal())
-        du_sq = _sumsq(self.v3) + _sumsq(self.v4)
-        if du_sq == 0.0:
-            raise ZeroVector("cannot normalize the zero vector")
-        s = 1.0 / math.sqrt(du_sq)
-        z = np.zeros_like(self.v3)
-        return DualQuaternionVector(self.v3 * s, self.v4 * s, z, z)
+        return DualQuaternionVector(*_unit(self._parts))
 
 
 class DualComplexMatrix:
@@ -371,6 +425,10 @@ class DualComplexMatrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "DualComplexMatrix":
         return cls(np.zeros((rows, cols), dtype=np.complex128))
+
+    @property
+    def _parts(self):
+        return self.st, self.du
 
     @property
     def shape(self):
@@ -403,7 +461,7 @@ class DualComplexMatrix:
         if isinstance(s, (int, float, complex)):
             return DualComplexMatrix(self.st * s, self.du * s)
         if isinstance(s, DualNumber):
-            return DualComplexMatrix(self.st * s.st, self.du * s.st + self.st * s.du)
+            return DualComplexMatrix(*_scale_dual(self._parts, s.st, s.du))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -412,15 +470,11 @@ class DualComplexMatrix:
         if isinstance(other, DualComplexMatrix):
             if self.cols != other.rows:
                 raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-            return DualComplexMatrix(
-                self.st @ other.st, self.st @ other.du + self.du @ other.st
-            )
+            return DualComplexMatrix(*_dc_mul(self._parts, other._parts))
         if isinstance(other, DualComplexVector):
             if self.cols != other.n:
                 raise DimensionMismatch(f"{self.shape} @ vector of length {other.n}")
-            return DualComplexVector(
-                self.st @ other.st, self.st @ other.du + self.du @ other.st
-            )
+            return DualComplexVector(*_dc_mul(self._parts, other._parts))
         return NotImplemented
 
     def conj_transpose(self) -> "DualComplexMatrix":
@@ -447,14 +501,10 @@ class DualComplexMatrix:
         return adjoint_block_deviation(self) <= tol * scale
 
     def norm_f(self) -> DualNumber:
-        st_sq = _sumsq(self.st)
-        if st_sq != 0.0:
-            st = math.sqrt(st_sq)
-            return DualNumber(st, _redot(self.st, self.du) / st)
-        return DualNumber(0.0, math.sqrt(_sumsq(self.du)))
+        return DualNumber(*_dual_norm(self._parts))
 
     def norm_fr(self) -> float:
-        return math.sqrt(_sumsq(self.st) + _sumsq(self.du))
+        return float(_norm_2r(self._parts))
 
 
 class DualComplexVector:
@@ -468,6 +518,10 @@ class DualComplexVector:
         if st.shape != du.shape:
             raise DimensionMismatch("parts must share one length")
         self.st, self.du = _freeze(st, du)
+
+    @property
+    def _parts(self):
+        return self.st, self.du
 
     @property
     def n(self) -> int:
@@ -494,7 +548,7 @@ class DualComplexVector:
 
     def scale(self, c) -> "DualComplexVector":
         """Multiply by a dual number or dual complex scalar."""
-        return DualComplexVector(self.st * c.st, self.du * c.st + self.st * c.du)
+        return DualComplexVector(*_scale_dual(self._parts, c.st, c.du))
 
     def dot(self, other: "DualComplexVector") -> DualComplex:
         """conj(self)^T other."""
@@ -511,34 +565,13 @@ class DualComplexVector:
         )
 
     def norm_2(self) -> DualNumber:
-        st_sq = _sumsq(self.st)
-        if st_sq != 0.0:
-            st = math.sqrt(st_sq)
-            return DualNumber(st, _redot(self.st, self.du) / st)
-        return DualNumber(0.0, math.sqrt(_sumsq(self.du)))
+        return DualNumber(*_dual_norm(self._parts))
 
     def norm_2r(self) -> float:
-        return math.sqrt(_sumsq(self.st) + _sumsq(self.du))
+        return float(_norm_2r(self._parts))
 
     def unit(self) -> "DualComplexVector":
-        st_sq = _sumsq(self.st)
-        if st_sq != 0.0:
-            nrm = self.norm_2()
-            inv = nrm.reciprocal()
-            return DualComplexVector(self.st * inv.st, self.du * inv.st + self.st * inv.du)
-        du_sq = _sumsq(self.du)
-        if du_sq == 0.0:
-            raise ZeroVector("cannot normalize the zero vector")
-        return DualComplexVector(self.du / math.sqrt(du_sq), np.zeros_like(self.du))
-
-
-def _sumsq(a) -> float:
-    return float((a.real * a.real + a.imag * a.imag).sum())
-
-
-def _redot(a, b) -> float:
-    """Real part of <a, b>, i.e. sc(tr(A* B)) summed over entries."""
-    return float((a.real * b.real + a.imag * b.imag).sum())
+        return DualComplexVector(*_unit(self._parts))
 
 
 def random_unit_vector(n: int, rng: np.random.Generator) -> DualQuaternionVector:

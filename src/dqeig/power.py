@@ -1,11 +1,12 @@
 """Iterative eigensolvers.
 
 Every solver runs one power-iteration skeleton, _power, on raw complex
-ndarrays. It takes its arithmetic (matvec, Rayleigh quotient, residual and
-dual normalization) from one of two per-algebra tables:
+ndarrays. It normalizes with the matrices kernel _unit, which serves both
+algebras, and takes the matvec, Rayleigh quotient and residual from one of
+two per-algebra tables:
 
 - _Quaternion iterates on the complex-pair components of a dual quaternion
-  vector with the products DualQuaternionMatrix uses. This is plain dual
+  vector with the product DualQuaternionMatrix uses. This is plain dual
   quaternion arithmetic, the cost baseline of power_method_baseline and
   power_method_spectrum.
 - _Adjoint iterates on the parts of a dual complex vector against the
@@ -33,15 +34,17 @@ import numpy as np
 
 from .adjoint import adjoint, vec_map_f, vec_map_f_inverse, vec_map_h
 from .dual_eig import EigenResult
-from .errors import InnerNoConvergence, ZeroVector
+from .errors import InnerNoConvergence
 from .matrices import (
     DualComplexMatrix,
     DualComplexVector,
     DualQuaternionMatrix,
     DualQuaternionVector,
-    _qmul,
-    _redot,
-    _sumsq,
+    _dc_mul,
+    _dq_mul,
+    _eig_residual,
+    _norm_2r,
+    _unit,
     random_unit_vector,
 )
 from .scalars import DualNumber
@@ -109,18 +112,17 @@ class IterTrace:
 
 def pair_residual(q: DualQuaternionMatrix, lam: DualNumber, v: DualQuaternionVector) -> float:
     """|Q v - v lam| in the 2R norm."""
-    return (q @ v - v.scale_right(lam)).norm_2r()
+    return float(_eig_residual(q._parts, v._parts, lam.st, lam.du))
 
 
 # -- per-algebra tables ---------------------------------------------------------
 #
-# Each table computes what the matching object methods compute (__matmul__,
-# dot, scale_right or scale, norm_2r, unit) with the same formulas. unit
-# reduces exactly as the objects do, so the iterates match the object
-# arithmetic bit for bit: the Aitken step amplifies ulp-level differences in
-# its three iterates by about 1/(1 - r)^2 for a convergence ratio r. The
-# Rayleigh quotient and the residual feed no iterate of the loop and reduce
-# with BLAS dot products, which differ from numpy sums in summation order.
+# The matvec and the normalization are the matrices kernels the objects' own
+# methods wrap, so the iterates match the object arithmetic bit for bit: the
+# Aitken step amplifies ulp-level differences in its three iterates by about
+# 1/(1 - r)^2 for a convergence ratio r. The Rayleigh quotient and the
+# residual feed no iterate of the loop and reduce with BLAS dot products,
+# which differ from numpy sums in summation order.
 
 
 def _sq(a) -> float:
@@ -141,23 +143,18 @@ class _Quaternion:
 
     def __init__(self, q: DualQuaternionMatrix):
         self.matrix = q
-        self.a = (q.a1, q.a2, q.a3, q.a4)
+        self.a = q._parts
 
     @staticmethod
     def enter(v: DualQuaternionVector):
-        return v.v1, v.v2, v.v3, v.v4
+        return v._parts
 
     @staticmethod
     def leave(x) -> DualQuaternionVector:
         return DualQuaternionVector(*x)
 
     def matvec(self, x):
-        a1, a2, a3, a4 = self.a
-        v1, v2, v3, v4 = x
-        c1, c2 = _qmul(a1, a2, v1, v2)
-        d1a, d2a = _qmul(a1, a2, v3, v4)
-        d1b, d2b = _qmul(a3, a4, v1, v2)
-        return c1, c2, d1a + d1b, d2a + d2b
+        return _dq_mul(self.a, x)
 
     @staticmethod
     def rayleigh(x, y):
@@ -184,23 +181,6 @@ class _Quaternion:
             + _sq(y[3] - (v4 * st + v2 * du))
         )
 
-    @staticmethod
-    def unit(y):
-        """Projection onto unit 2-norm vectors (degenerate branch: zero dual part)."""
-        v1, v2, v3, v4 = y
-        st_sq = _sumsq(v1) + _sumsq(v2)
-        if st_sq != 0.0:
-            st = math.sqrt(st_sq)
-            du = (_redot(v1, v3) + _redot(v2, v4)) / st
-            rs, rd = 1.0 / st, -du / (st * st)
-            return v1 * rs, v2 * rs, v3 * rs + v1 * rd, v4 * rs + v2 * rd
-        du_sq = _sumsq(v3) + _sumsq(v4)
-        if du_sq == 0.0:
-            raise ZeroVector("cannot normalize the zero vector")
-        s = 1.0 / math.sqrt(du_sq)
-        z = np.zeros_like(v3)
-        return v3 * s, v4 * s, z, z
-
     def deflated(self, x, lam: DualNumber) -> "_Quaternion":
         """Q - lam v v^*."""
         v = self.leave(x)
@@ -213,20 +193,18 @@ class _Adjoint:
 
     def __init__(self, p: DualComplexMatrix):
         self.matrix = p
-        self.p1, self.p2 = p.st, p.du
+        self.p = p._parts
 
     @staticmethod
     def enter(v: DualQuaternionVector):
-        u = vec_map_f(v)
-        return u.st, u.du
+        return vec_map_f(v)._parts
 
     @staticmethod
     def leave(x) -> DualQuaternionVector:
         return vec_map_f_inverse(DualComplexVector(*x))
 
     def matvec(self, x):
-        st, du = x
-        return self.p1 @ st, self.p1 @ du + self.p2 @ st
+        return _dc_mul(self.p, x)
 
     @staticmethod
     def rayleigh(x, y):
@@ -239,26 +217,6 @@ class _Adjoint:
     def residual(x, y, st, du):
         """|y - x (st + du eps)| in the 2R norm."""
         return math.sqrt(_sq(y[0] - x[0] * st) + _sq(y[1] - (x[1] * st + x[0] * du)))
-
-    @staticmethod
-    def unit(y):
-        """Projection onto unit 2-norm vectors (degenerate branch: zero dual part)."""
-        st_part, du_part = y
-        st_sq = _sumsq(st_part)
-        if st_sq != 0.0:
-            st = math.sqrt(st_sq)
-            du = _redot(st_part, du_part) / st
-            rs, rd = 1.0 / st, -du / (st * st)
-            return st_part * rs, du_part * rs + st_part * rd
-        du_sq = _sumsq(du_part)
-        if du_sq == 0.0:
-            raise ZeroVector("cannot normalize the zero vector")
-        return du_part / math.sqrt(du_sq), np.zeros_like(du_part)
-
-    @staticmethod
-    def st_norm(x) -> float:
-        """2-norm of the standard part; the Aitken step's collapse guard."""
-        return math.sqrt(_sq(x[0]))
 
     def deflated(self, x, lam: DualNumber) -> "_Adjoint":
         """P - lam (u u^* + Hu Hu^*), which removes both adjoint copies of lam."""
@@ -296,7 +254,7 @@ def _aitken_step(alg, hist, tol):
     )
     kappa = DualNumber(*_aitken_real((sa, da), (sb, db), (sc, dc), AITKEN_GUARD).tolist())
     # cancellation collapse would shrink the standard part toward 0
-    if alg.st_norm(w) < 0.5:
+    if _norm_2r(w[: len(w) // 2]) < 0.5:
         return None
     res_w = alg.residual(w, alg.matvec(w), kappa.st, kappa.du)
     return (kappa, w, res_w) if res_w <= tol else None
@@ -311,7 +269,7 @@ def _power(alg, x, cfg: PowerIterConfig, aitken: bool = False):
     once the raw residual reaches cfg.aitken_trigger; that exit appends the
     extrapolated pair as one extra trace record.
     """
-    x = alg.unit(x)
+    x = _unit(x)
     trace = IterTrace()
     hist = deque(maxlen=3)
     for k in range(1, cfg.max_iter + 1):
@@ -320,7 +278,7 @@ def _power(alg, x, cfg: PowerIterConfig, aitken: bool = False):
         res = alg.residual(x, y, st, du)
         lam = DualNumber(st, du)
         trace.record(lam, res, dropped)
-        x = alg.unit(y)
+        x = _unit(y)
         if aitken:
             hist.append((x, st, du))
             if res <= cfg.aitken_trigger and len(hist) == 3:
@@ -328,7 +286,7 @@ def _power(alg, x, cfg: PowerIterConfig, aitken: bool = False):
                 if step is not None:
                     lam, w, res_w = step
                     trace.record(lam, res_w, 0.0)
-                    x = alg.unit(w)
+                    x = _unit(w)
                     trace.converged = True
         elif res <= cfg.tol:
             trace.converged = True

@@ -226,13 +226,6 @@ class TestRunBenchmark:
             assert x.iterations == y.iterations
             assert x.converged == y.converged
 
-    def test_pentagon_kind(self):
-        records = run_benchmark("pentagon", seed=5)
-        by_alg = {r.algorithm: r for r in records}
-        assert by_alg["eddcam"].converged
-        assert by_alg["eddcam"].e_lambda <= 1e-10
-        assert not by_alg["pm"].converged
-
     def test_rejects_bad_kind_and_trials(self):
         with pytest.raises(ValueError):
             run_benchmark("nope")

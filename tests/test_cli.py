@@ -3,14 +3,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dqeig.bench import pentagon_fixture, random_hermitian
-from dqeig.cli import load_matrix, main, save_matrix
+from dqeig.bench import pentagon_fixture, random_hermitian, synth_known_spectrum
+from dqeig.cli import _vector_components, load_matrix, main, save_matrix
+from dqeig.dual_eig import eddcam_ea
 from dqeig.errors import ParseError
-from dqeig.matrices import DualQuaternionVector
+from dqeig.matrices import DualQuaternionMatrix, DualQuaternionVector
 from dqeig.power import pair_residual
 from dqeig.scalars import DualNumber
-from tests.test_matrices import rand_dq_matrix
+from tests.test_matrices import rand_dq_matrix, rand_dq_vector
 
 
 @pytest.fixture
@@ -49,6 +52,81 @@ class TestMatrixFile:
     def test_missing_file(self):
         with pytest.raises(ParseError):
             load_matrix("/nonexistent/never/matrix.json")
+
+    def test_written_rows_are_the_entry_components(self, tmp_path):
+        # the round trip cannot see a layout swap that load_matrix mirrors
+        m = rand_dq_matrix(3, 4, np.random.default_rng(5))
+        path = str(tmp_path / "m.json")
+        save_matrix(path, m)
+        with open(path) as fh:
+            rows = json.load(fh)["entries"]
+        assert rows == [components(m.entry(i, j)) for i in range(3) for j in range(4)]
+
+    def test_vector_rows_are_the_entry_components(self):
+        v = rand_dq_vector(5, np.random.default_rng(6))
+        assert _vector_components(v) == [components(v.entry(i)) for i in range(5)]
+
+
+def components(q):
+    return [q.st.w, q.st.x, q.st.y, q.st.z, q.du.w, q.du.x, q.du.y, q.du.z]
+
+
+def one_entry_doc(row):
+    return {"format": "dqh-1", "n": 1, "entries": [row]}
+
+
+BAD_DOCUMENTS = {
+    "string-component": one_entry_doc(["a", 0, 0, 0, 0, 0, 0, 0]),
+    "null-component": one_entry_doc([None, 0, 0, 0, 0, 0, 0, 0]),
+    "null-row": one_entry_doc(None),
+    "number-row": one_entry_doc(5),
+    "nested-component": one_entry_doc([[1], 0, 0, 0, 0, 0, 0, 0]),
+    "entries-not-a-list": {"format": "dqh-1", "n": 1, "entries": 5},
+    "nan-component": one_entry_doc([float("nan"), 0, 0, 0, 0, 0, 0, 0]),
+    "infinite-component": one_entry_doc([float("inf"), 0, 0, 0, 0, 0, 0, 0]),
+    "infinite-n": {"format": "dqh-1", "n": float("inf"), "entries": []},
+}
+
+
+@pytest.mark.parametrize("doc", BAD_DOCUMENTS.values(), ids=BAD_DOCUMENTS.keys())
+def test_bad_document_exits_1_with_one_line(doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError):
+        load_matrix(str(path))
+    assert main(["solve", str(path), "--alg", "eddcam"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Hermitian" not in lines[0]
+
+
+_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+_json = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+_rows = st.lists(st.floats() | st.integers() | _json, min_size=8, max_size=8) | _json
+_documents = _json | st.fixed_dictionaries({
+    "format": st.just("dqh-1"),
+    "n": st.integers(-1, 2) | _json,
+    "entries": st.lists(_rows, max_size=4) | _json,
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_documents)
+def test_load_matrix_gives_a_matrix_or_parse_error(doc, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    try:
+        m = load_matrix(str(path))
+    except ParseError:
+        return
+    assert isinstance(m, DualQuaternionMatrix)
+    assert all(np.isfinite(a).all() for a in (m.a1, m.a2, m.a3, m.a4))
 
 
 class TestSolve:
@@ -130,6 +208,20 @@ class TestSolve:
         assert main(["solve", path, "--alg", "eddcam"]) == 1
         assert "Hermitian" in capsys.readouterr().err
 
+    def test_hermitian_gate_is_relative_to_the_largest_entry(self, tmp_path, capsys):
+        # rounding in V diag(sigma) V* leaves an asymmetry of about 5e-10 at this scale
+        sigma = [DualNumber(1e6 * (k + 1), 1e5 * k) for k in range(8)]
+        q, _ = synth_known_spectrum(8, sigma, 0)
+        assert q.max_abs_diff(q.conj_transpose()) > 1e-10
+        got = sorted(((lam.st, lam.du) for lam in eddcam_ea(q).eigenvalues()), reverse=True)
+        want = sorted(((s.st, s.du) for s in sigma), reverse=True)
+        assert np.abs(np.subtract(got, want)).max() <= 1e-8 * 8e6
+        path = str(tmp_path / "big.json")
+        save_matrix(path, q)
+        assert main(["solve", path, "--alg", "eddcam"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["eigenvalues"]) == 8
+
 
 class TestBench:
     def test_aitken_csv_schema(self, tmp_path):
@@ -168,6 +260,20 @@ class TestBench:
         out = str(tmp_path / "x.csv")
         assert main(["bench", "aitken", "--trials", "0", "--csv", out]) == 1
         assert "trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["aitken", "--sizes", "0"], ["aitken", "--sizes", "4", "-1"],
+         ["laplacian", "--sparsities", "0"], ["laplacian", "--sparsities", "0.5", "1.5"]],
+        ids=["size-0", "size-negative", "sparsity-0", "sparsity-above-1"],
+    )
+    def test_bad_grid_exits_1_with_one_line(self, flags, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        assert main(["bench", *flags, "--trials", "1", "--csv", out]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert flags[1] in lines[0]
 
     def test_unwritable_csv(self, capsys):
         code = main(

@@ -5,6 +5,7 @@ import pytest
 
 from dqeig.errors import DimensionMismatch, ZeroVector
 from dqeig.matrices import (
+    DualComplexVector,
     DualQuaternionMatrix,
     DualQuaternionVector,
     random_unit_vector,
@@ -181,9 +182,19 @@ class TestUnitProjection:
         assert np.allclose(u.v1, [0.6, 0.8])
         assert not u.v3.any() and not u.v4.any()
 
+    def test_degenerate_branch_is_one_rule_for_both_algebras(self):
+        # both scale the dual part by the reciprocal of its norm
+        du = np.array([1.0, 7.0])
+        want = du * (1.0 / math.sqrt(50.0))
+        z = np.zeros(2)
+        assert np.array_equal(DualComplexVector(z, du).unit().st, want)
+        assert np.array_equal(DualQuaternionVector(z, z, du, z).unit().v1, want)
+
     def test_zero_vector_raises(self):
         with pytest.raises(ZeroVector):
             DualQuaternionVector.zeros(3).unit()
+        with pytest.raises(ZeroVector):
+            DualComplexVector(np.zeros(2)).unit()
 
     def test_random_unit_vector_is_unit_and_deterministic(self):
         a = random_unit_vector(5, np.random.default_rng(11))
