@@ -5,10 +5,10 @@ Matrix files ("dqh-1") are JSON documents:
     {"format": "dqh-1", "n": <int>,
      "entries": [[q0, q1, q2, q3, d0, d1, d2, d3], ...]}
 
-with n*n rows in row-major order, standard part first. Result documents list
-eigenvalues as [st, du] pairs sorted descending, eigenvectors as lists of
-8-real entries, the residual e_lambda, and iteration counts. Benchmarks are
-emitted as CSV with the fixed header
+with n*n rows in row-major order, standard part first. Result documents are
+compact JSON on one line; they list eigenvalues as [st, du] pairs sorted
+descending, eigenvectors as lists of 8-real entries, the residual e_lambda,
+and iteration counts. Benchmarks are emitted as CSV with the fixed header
 
     algorithm,n,sparsity,trials,mean_e_lambda,mean_iters,mean_seconds,seed
 
@@ -31,7 +31,7 @@ from .bench import (
 )
 from .dual_eig import _check_hermitian, eddcam_ea
 from .errors import DQEigError, InnerNoConvergence, ParseError
-from .matrices import DualQuaternionMatrix, DualQuaternionVector, random_unit_vector
+from .matrices import DualQuaternionMatrix, random_unit_vector
 from .power import (
     PowerIterConfig,
     adcam_pm,
@@ -95,30 +95,25 @@ def save_matrix(path: str, m: DualQuaternionMatrix) -> None:
         fh.write(json.dumps(doc) + "\n")
 
 
-def _vector_components(v: DualQuaternionVector):
-    return _rows8(v._parts)
-
-
 def _result_doc(algorithm, n, pairs, residual, iterations, converged):
-    eigenvalues = []
-    eigenvectors = []
-    for lam, vecs in pairs:
-        for v in vecs:
-            eigenvalues.append([lam.st, lam.du])
-            eigenvectors.append(_vector_components(v))
+    eigenvalues = [[lam.st, lam.du] for lam, vecs in pairs for _ in vecs]
+    vecs = [v for _, vs in pairs for v in vs]
+    # the rows of every eigenvector from one _rows8 over their stacked parts
+    rows = _rows8([np.stack(part) for part in zip(*(v._parts for v in vecs))]) if vecs else []
     return {
         "algorithm": algorithm,
         "n": n,
         "converged": converged,
         "eigenvalues": eigenvalues,
-        "eigenvectors": eigenvectors,
+        "eigenvectors": [rows[k * n : (k + 1) * n] for k in range(len(vecs))],
         "e_lambda": residual,
         "iterations": iterations,
     }
 
 
 def _emit(doc, out_path):
-    text = json.dumps(doc, indent=2) + "\n"
+    # compact: without indent, json.dumps runs the C encoder
+    text = json.dumps(doc) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -17,24 +17,32 @@ every eigenvalue shows up there with doubled multiplicity, each group of
 adjoint eigenvectors maps back through F^-1, and Gram-Schmidt in dual
 quaternion arithmetic, run on the raw component arrays, strips the redundant
 half.
+
+Every stage is a stacked array operation rather than one per cluster or
+group: one batched eigh per cluster block size, T in one masked division,
+F^-1 and the eigenvector check over all columns of U_hat at once, and
+e_lambda from one residual product over the returned vectors. Only
+Gram-Schmidt loops, over the candidates of groups larger than an eigenvector
+and its H-partner.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import adjoint, vec_map_f_inverse
+from .adjoint import adjoint
 from .errors import ClusterInstability, NotAnEigenvector, NotHermitian
 from .hermitian_eig import cluster_eigenvalues, eig_hermitian
 from .matrices import (
     DualComplexMatrix,
     DualQuaternionMatrix,
     DualQuaternionVector,
-    _dq_dot,
     _dq_mul,
     _dual_norm,
     _eig_residual,
     _norm_2r,
+    _qmul,
+    _sumsq,
     _unit,
 )
 from .scalars import DualNumber
@@ -106,34 +114,85 @@ def eig_dual_complex_hermitian(
     u = base.vectors
     p2 = u.conj().T @ p.du @ u
 
-    # diagonalize each diagonal block of the rotated dual part
+    # diagonalize the diagonal blocks of the rotated dual part, all blocks of
+    # one size in one batched eigh
+    counts = np.array([count for _, count in clusters], dtype=int)
+    starts = np.cumsum(counts) - counts
     v = np.zeros_like(u)
-    mus = []
-    offsets = []
-    start = 0
-    for _, count in clusters:
-        block = p2[start : start + count, start : start + count]
-        sub = eig_hermitian(0.5 * (block + block.conj().T))
-        v[start : start + count, start : start + count] = sub.vectors
-        mus.append(sub.values)
-        offsets.append((start, start + count))
-        start += count
+    mu = np.zeros(len(u))
+    for size in np.unique(counts):
+        idx = starts[counts == size, None] + np.arange(size)
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        blocks = p2[rows, cols]
+        sub = eig_hermitian(0.5 * (blocks + blocks.conj().swapaxes(-1, -2)))
+        v[rows, cols] = sub.vectors
+        mu[idx] = sub.values
 
+    # T_ij = Q_ij / (lam_j - lam_i) between distinct clusters, 0 within one
+    lam = np.repeat([value for value, _ in clusters], counts)
+    cluster_id = np.repeat(np.arange(len(clusters)), counts)
     q = v.conj().T @ p2 @ v
     t = np.zeros_like(q)
-    for (lam_i, _), (ai, bi) in zip(clusters, offsets):
-        for (lam_j, _), (aj, bj) in zip(clusters, offsets):
-            if (ai, bi) != (aj, bj):
-                t[ai:bi, aj:bj] = q[ai:bi, aj:bj] / (lam_j - lam_i)
+    np.divide(q, lam - lam[:, None], out=t, where=cluster_id != cluster_id[:, None])
 
     u_st = u @ v
     u_hat = DualComplexMatrix(u_st, u_st @ t)
-    sigma = tuple(
-        DualNumber(lam, float(mu))
-        for (lam, _), cluster_mus in zip(clusters, mus)
-        for mu in cluster_mus
-    )
+    sigma = tuple(DualNumber(float(st), float(du)) for st, du in zip(lam, mu))
     return DualEigenDecomposition(u_hat, sigma)
+
+
+def _check_eigenvectors(q: DualQuaternionMatrix, x, st, du) -> None:
+    """NotAnEigenvector unless every column of x (a part tuple of n x k arrays)
+    satisfies Q x = x (st[j] + du[j] eps) to residual
+    1e-8 * max(1, |Q|_F) * max(1, |x|_2R)."""
+    scale = max(1.0, q.norm_fr())
+    res = _eig_residual(q._parts, x, st, du, axis=0)
+    bad = np.flatnonzero(res > 1e-8 * scale * np.maximum(1.0, _norm_2r(x, axis=0)))
+    if bad.size:
+        k = bad[0]
+        lam = DualNumber(float(st[k]), float(du[k]))
+        raise NotAnEigenvector(f"candidate residual {res[k]:.3e} too large for {lam}")
+
+
+def _gram_schmidt(x, tol_rank: float):
+    """Classical Gram-Schmidt over the columns of x, a part tuple of n x k
+    dual quaternion arrays. Each column minus its projections onto all the
+    vectors kept so far, taken as one stacked product, is normalised and kept
+    unless the standard part of that remainder has norm at most
+    tol_rank * max(1, |column|_2R). Returns the kept vectors as part tuples.
+    """
+    n, k = x[0].shape
+    # kept vectors as the columns of U (stored as rows) and the rows of U*
+    rows = [np.empty((k, n), dtype=np.complex128) for _ in x]
+    conj_rows = [np.empty((k, n), dtype=np.complex128) for _ in x]
+    kept = []
+    for j in range(k):
+        v = tuple(a[:, j] for a in x)
+        r = len(kept)
+        c = _dq_mul(tuple(a[:r] for a in conj_rows), v)
+        w = tuple(a - b for a, b in zip(v, _dq_mul(tuple(a[:r].T for a in rows), c)))
+        if _dual_norm(w)[0] > tol_rank * max(1.0, float(_norm_2r(v))):
+            w = _unit(w)
+            # (A + B j)* = conj(A)^T - B^T j, per part of the dual split
+            for row, conj_row, a, flip in zip(rows, conj_rows, w, (np.conj, np.negative) * 2):
+                row[r] = a
+                conj_row[r] = flip(a)
+            kept.append(w)
+    return kept
+
+
+def _redundant_second(x, y, tol_rank: float):
+    """Per column, whether Gram-Schmidt drops y after keeping x: the standard
+    part of y minus its projection onto the quaternion line of x's has norm at
+    most tol_rank * max(1, |y|_2R). x and y are part tuples of n x k arrays.
+    """
+    x1, x2, y1, y2 = x[0], x[1], y[0], y[1]
+    norm_sq = _sumsq(x1, 0) + _sumsq(x2, 0)
+    # <x, y> per column: the entrywise products conj(x_i) y_i, summed
+    c1, c2 = (c.sum(axis=0) / norm_sq for c in _qmul(np.conj(x1), -x2, y1, y2, np.multiply))
+    p1, p2 = _qmul(x1, x2, c1, c2, np.multiply)
+    rest = np.sqrt(_sumsq(y1 - p1, 0) + _sumsq(y2 - p2, 0))
+    return rest <= tol_rank * np.maximum(1.0, _norm_2r(y, axis=0))
 
 
 def orthogonalize_eigenvectors(
@@ -150,23 +209,9 @@ def orthogonalize_eigenvectors(
     """
     if not vs:
         return []
-    scale = max(1.0, q.norm_fr())
-    # the whole group is checked with one product of Q and the stacked candidates
-    stacked = tuple(np.stack(part, axis=1) for part in zip(*(v._parts for v in vs)))
-    sizes = _norm_2r(stacked, axis=0)
-    res = _eig_residual(q._parts, stacked, lam.st, lam.du, axis=0)
-    bad = np.flatnonzero(res > 1e-8 * scale * np.maximum(1.0, sizes))
-    if bad.size:
-        raise NotAnEigenvector(f"candidate residual {res[bad[0]]:.3e} too large for {lam}")
-    out = []
-    for v in vs:
-        x = w = v._parts
-        for u in out:
-            c = _dq_mul(u, _dq_dot(u, x), np.multiply)
-            w = tuple(a - b for a, b in zip(w, c))
-        if _dual_norm(w)[0] > tol_rank * max(1.0, v.norm_2r()):
-            out.append(_unit(w))
-    return [DualQuaternionVector(*x) for x in out]
+    x = tuple(np.stack(part, axis=1) for part in zip(*(v._parts for v in vs)))
+    _check_eigenvectors(q, x, np.full(len(vs), lam.st), np.full(len(vs), lam.du))
+    return [DualQuaternionVector(*w) for w in _gram_schmidt(x, tol_rank)]
 
 
 def _canonical_phase(v: DualQuaternionVector) -> DualQuaternionVector:
@@ -201,32 +246,47 @@ def eddcam_ea(
         return EigenResult((), 0.0)
 
     dec = eig_dual_complex_hermitian(adjoint(q), tol_group)
-    sigma = dec.sigma
-    st_scale = max(1.0, max(abs(s.st) for s in sigma))
-    du_scale = max(1.0, max(abs(s.du) for s in sigma))
+    st = np.array([s.st for s in dec.sigma])
+    du = np.array([s.du for s in dec.sigma])
+    st_scale = max(1.0, float(np.abs(st).max()))
+    du_scale = max(1.0, float(np.abs(du).max()))
 
     # consecutive grouping: sigma is sorted descending in the dual order
-    groups = []
-    start = 0
-    for i in range(1, len(sigma) + 1):
-        if (
-            i == len(sigma)
-            or abs(sigma[i].st - sigma[i - 1].st) > tol_group * st_scale
-            or abs(sigma[i].du - sigma[i - 1].du) > tol_group * du_scale
-        ):
-            groups.append((start, i))
-            start = i
+    cut = (np.abs(np.diff(st)) > tol_group * st_scale) | (
+        np.abs(np.diff(du)) > tol_group * du_scale
+    )
+    bounds = [0, *(np.flatnonzero(cut) + 1).tolist(), len(st)]
+    groups = list(zip(bounds[:-1], bounds[1:]))
+    lams = [DualNumber(float(st[a:b].mean()), float(du[a:b].mean())) for a, b in groups]
+    sizes = np.diff(bounds)
+
+    # F^-1 of every column of U_hat at once, and every candidate checked
+    s, d = dec.u_hat.st, dec.u_hat.du
+    cand = (s[:n], -s[n:].conj(), d[:n], -d[n:].conj())
+    _check_eigenvectors(
+        q, cand, np.repeat([lam.st for lam in lams], sizes),
+        np.repeat([lam.du for lam in lams], sizes),
+    )
+
+    # A group of adjoint multiplicity 2 is one eigenvector and its H-partner:
+    # Gram-Schmidt keeps the first candidate, normalised, and drops the second.
+    # That the second is redundant is checked for all such groups at once: a
+    # tiny tol_group can split a double eigenvalue into two groups of 2 that
+    # are not H-partners, and those go through Gram-Schmidt, whose count the
+    # check below then rejects.
+    twos = np.asarray(bounds[:-1])[sizes == 2]
+    redundant = _redundant_second(
+        tuple(a[:, twos] for a in cand), tuple(a[:, twos + 1] for a in cand), tol_rank
+    )
+    shortcut = set(twos[redundant].tolist())
 
     pairs = []
-    for a, b in groups:
-        lam = DualNumber(
-            float(np.mean([sigma[k].st for k in range(a, b)])),
-            float(np.mean([sigma[k].du for k in range(a, b)])),
-        )
-        candidates = [vec_map_f_inverse(dec.u_hat.column(k)) for k in range(a, b)]
-        vecs = orthogonalize_eigenvectors(candidates, q, lam, tol_rank)
-        vecs = [_canonical_phase(v) for v in vecs]
-        pairs.append((lam, tuple(vecs)))
+    for lam, (a, b) in zip(lams, groups):
+        if a in shortcut:
+            vecs = [_unit(tuple(c[:, a] for c in cand))]
+        else:
+            vecs = _gram_schmidt(tuple(c[:, a:b] for c in cand), tol_rank)
+        pairs.append((lam, tuple(_canonical_phase(DualQuaternionVector(*w)) for w in vecs)))
 
     total = sum(len(vecs) for _, vecs in pairs)
     if total != n:
@@ -234,7 +294,10 @@ def eddcam_ea(
             f"recovered {total} eigenvectors for dimension {n}; "
             "eigenvalue grouping is unstable at this tolerance"
         )
-    residuals = [
-        _eig_residual(q._parts, v._parts, lam.st, lam.du) for lam, vecs in pairs for v in vecs
-    ]
-    return EigenResult(tuple(pairs), float(np.mean(residuals)))
+    # e_lambda from one residual product over the returned vectors
+    w = tuple(np.stack(part, axis=1) for part in zip(*(v._parts for _, vs in pairs for v in vs)))
+    res = _eig_residual(
+        q._parts, w, np.array([lam.st for lam, vs in pairs for _ in vs]),
+        np.array([lam.du for lam, vs in pairs for _ in vs]), axis=0,
+    )
+    return EigenResult(tuple(pairs), float(np.mean(res)))

@@ -11,33 +11,37 @@ __all__ = ["ComplexHermitianEig", "eig_hermitian", "cluster_eigenvalues"]
 
 @dataclass(frozen=True)
 class ComplexHermitianEig:
-    """Eigenvalues sorted descending; eigenvectors are the matching columns."""
+    """Eigenvalues sorted descending; eigenvectors are the matching columns.
+    For a stack of matrices both carry the stack's leading axes."""
 
     values: np.ndarray
     vectors: np.ndarray
 
 
 def eig_hermitian(h, tol: float = 1e-10) -> ComplexHermitianEig:
-    """Full eigendecomposition of a complex Hermitian matrix.
+    """Full eigendecomposition of a complex Hermitian matrix, or of each
+    matrix in a (..., m, m) stack.
 
-    The reconstruction residual must satisfy
+    Each matrix must be Hermitian within 1e-10 * max(1, its largest entry),
+    otherwise NotHermitian, and its reconstruction residual must satisfy
     |H - U diag(w) U*|_F <= tol * max(1, |H|_F), otherwise NoConvergence.
     """
     h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise NotHermitian(f"expected a square matrix, got shape {h.shape}")
-    scale = max(1.0, np.abs(h).max(initial=0.0))
-    if np.abs(h - h.conj().T).max(initial=0.0) > 1e-10 * scale:
+    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1), initial=0.0))
+    asymmetry = np.abs(h - h.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    if np.any(asymmetry > 1e-10 * scale):
         raise NotHermitian("matrix is not Hermitian within 1e-10")
     try:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    values = values[::-1].copy()
-    vectors = vectors[:, ::-1].copy()
-    recon = (vectors * values) @ vectors.conj().T
-    hnorm = np.linalg.norm(h)
-    if np.linalg.norm(h - recon) > tol * max(1.0, hnorm):
+    values = values[..., ::-1].copy()
+    vectors = vectors[..., ::-1].copy()
+    recon = (vectors * values[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
+    hnorm = np.linalg.norm(h, axis=(-2, -1))
+    if np.any(np.linalg.norm(h - recon, axis=(-2, -1)) > tol * np.maximum(1.0, hnorm)):
         raise NoConvergence("reconstruction residual exceeds tolerance")
     values.setflags(write=False)
     vectors.setflags(write=False)

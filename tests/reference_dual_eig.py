@@ -1,15 +1,61 @@
-"""Object-based Gram-Schmidt: the reference the array version in dqeig.dual_eig
-is checked against.
+"""EDDCAM-EA one group and one cluster at a time: the reference the stacked
+version in dqeig.dual_eig is checked against.
 
-Every step runs on the immutable DualQuaternionVector objects, one candidate
-and one projection at a time. tests/test_dual_eig_core.py requires
-dqeig.dual_eig.orthogonalize_eigenvectors, and eddcam_ea through it, to give
-bit-identical results.
+eig_dual_complex_hermitian diagonalises each cluster's block with its own
+eigh and builds T cluster pair by cluster pair. eddcam_ea maps every
+adjoint column back with its own F^-1, and runs Gram-Schmidt and the
+residuals on the immutable DualQuaternionVector objects, one candidate and
+one projection at a time. tests/test_dual_eig_core.py states how close the
+stacked version must come to it.
 """
 
 import numpy as np
 
-from dqeig.errors import NotAnEigenvector
+from dqeig.adjoint import adjoint, vec_map_f_inverse
+from dqeig.dual_eig import DualEigenDecomposition, EigenResult, _canonical_phase, _check_hermitian
+from dqeig.errors import ClusterInstability, NotAnEigenvector
+from dqeig.hermitian_eig import cluster_eigenvalues, eig_hermitian
+from dqeig.matrices import DualComplexMatrix
+from dqeig.scalars import DualNumber
+
+
+def eig_dual_complex_hermitian(p, tol_group=1e-8):
+    _check_hermitian(p)
+    base = eig_hermitian(p.st)
+    clusters = cluster_eigenvalues(base.values, tol_group)
+    scale = max(1.0, abs(clusters[0][0]), abs(clusters[-1][0])) if clusters else 1.0
+    for (left, _), (right, _) in zip(clusters, clusters[1:]):
+        if left - right < 10.0 * tol_group * scale:
+            raise ClusterInstability(f"cluster gap {left - right:.3e} below 10*tol_group")
+
+    u = base.vectors
+    p2 = u.conj().T @ p.du @ u
+    v = np.zeros_like(u)
+    mus = []
+    offsets = []
+    start = 0
+    for _, count in clusters:
+        block = p2[start : start + count, start : start + count]
+        sub = eig_hermitian(0.5 * (block + block.conj().T))
+        v[start : start + count, start : start + count] = sub.vectors
+        mus.append(sub.values)
+        offsets.append((start, start + count))
+        start += count
+
+    q = v.conj().T @ p2 @ v
+    t = np.zeros_like(q)
+    for (lam_i, _), (ai, bi) in zip(clusters, offsets):
+        for (lam_j, _), (aj, bj) in zip(clusters, offsets):
+            if (ai, bi) != (aj, bj):
+                t[ai:bi, aj:bj] = q[ai:bi, aj:bj] / (lam_j - lam_i)
+
+    u_st = u @ v
+    sigma = tuple(
+        DualNumber(lam, float(mu))
+        for (lam, _), cluster_mus in zip(clusters, mus)
+        for mu in cluster_mus
+    )
+    return DualEigenDecomposition(DualComplexMatrix(u_st, u_st @ t), sigma)
 
 
 def orthogonalize_eigenvectors(vs, q, lam, tol_rank=1e-8):
@@ -33,3 +79,42 @@ def e_lambda(q, pairs):
     """Mean |Q v - v lam| over the returned pairs, in object arithmetic."""
     residuals = [(q @ v - v.scale_right(lam)).norm_2r() for lam, vecs in pairs for v in vecs]
     return float(np.mean(residuals))
+
+
+def groups(sigma, tol_group=1e-8):
+    """(start, stop) of each run of equal dual-number eigenvalues in sigma."""
+    st_scale = max(1.0, max(abs(s.st) for s in sigma))
+    du_scale = max(1.0, max(abs(s.du) for s in sigma))
+    out = []
+    start = 0
+    for i in range(1, len(sigma) + 1):
+        if (
+            i == len(sigma)
+            or abs(sigma[i].st - sigma[i - 1].st) > tol_group * st_scale
+            or abs(sigma[i].du - sigma[i - 1].du) > tol_group * du_scale
+        ):
+            out.append((start, i))
+            start = i
+    return out
+
+
+def eddcam_ea(q, tol_group=1e-8, tol_rank=1e-8):
+    _check_hermitian(q)
+    n = q.rows
+    if n == 0:
+        return EigenResult((), 0.0)
+    dec = eig_dual_complex_hermitian(adjoint(q), tol_group)
+    sigma = dec.sigma
+    pairs = []
+    for a, b in groups(sigma, tol_group):
+        lam = DualNumber(
+            float(np.mean([sigma[k].st for k in range(a, b)])),
+            float(np.mean([sigma[k].du for k in range(a, b)])),
+        )
+        candidates = [vec_map_f_inverse(dec.u_hat.column(k)) for k in range(a, b)]
+        vecs = orthogonalize_eigenvectors(candidates, q, lam, tol_rank)
+        pairs.append((lam, tuple(_canonical_phase(v) for v in vecs)))
+    total = sum(len(vecs) for _, vecs in pairs)
+    if total != n:
+        raise ClusterInstability(f"recovered {total} eigenvectors for dimension {n}")
+    return EigenResult(tuple(pairs), e_lambda(q, pairs))

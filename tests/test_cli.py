@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqeig.bench import pentagon_fixture, random_hermitian, synth_known_spectrum
-from dqeig.cli import _vector_components, load_matrix, main, save_matrix
+from dqeig.bench import (
+    build_laplacian,
+    pentagon_fixture,
+    random_graph,
+    random_hermitian,
+    synth_known_spectrum,
+)
+from dqeig.cli import _result_doc, _rows8, load_matrix, main, save_matrix
 from dqeig.dual_eig import eddcam_ea
 from dqeig.errors import ParseError
 from dqeig.matrices import DualQuaternionMatrix, DualQuaternionVector
@@ -64,7 +70,7 @@ class TestMatrixFile:
 
     def test_vector_rows_are_the_entry_components(self):
         v = rand_dq_vector(5, np.random.default_rng(6))
-        assert _vector_components(v) == [components(v.entry(i)) for i in range(5)]
+        assert _rows8(v._parts) == [components(v.entry(i)) for i in range(5)]
 
 
 def components(q):
@@ -127,6 +133,39 @@ def test_load_matrix_gives_a_matrix_or_parse_error(doc, tmp_path_factory):
         return
     assert isinstance(m, DualQuaternionMatrix)
     assert all(np.isfinite(a).all() for a in (m.a1, m.a2, m.a3, m.a4))
+
+
+class TestResultDocument:
+    @pytest.fixture(params=["pentagon", "disconnected-laplacian"])
+    def matrix(self, request):
+        if request.param == "pentagon":
+            return pentagon_fixture()
+        # isolated vertices give a zero eigenvalue with a many-vector group
+        q = build_laplacian(random_graph(12, 0.05, 3))
+        assert max(len(vecs) for _, vecs in eddcam_ea(q).pairs) > 1
+        return q
+
+    def test_rows_are_each_vectors_rows(self, matrix):
+        res = eddcam_ea(matrix)
+        doc = _result_doc("eddcam", matrix.rows, res.pairs, res.residual, 0, True)
+        assert doc["eigenvectors"] == [_rows8(v._parts) for v in res.eigenvectors()]
+
+    def test_no_pairs_give_no_rows(self):
+        doc = _result_doc("pm", 3, (), 0.0, 7, False)
+        assert doc["eigenvalues"] == doc["eigenvectors"] == []
+
+    def test_solve_writes_the_document_on_one_line(self, matrix, tmp_path):
+        path, out = str(tmp_path / "m.json"), str(tmp_path / "result.json")
+        save_matrix(path, matrix)
+        assert main(["solve", path, "--alg", "eddcam", "--out", out]) == 0
+        with open(out, encoding="utf-8") as fh:
+            text = fh.read()
+        assert text.endswith("\n") and text.count("\n") == 1
+        res = eddcam_ea(load_matrix(path))
+        want = _result_doc("eddcam", matrix.rows, res.pairs, res.residual, 0, True)
+        got = json.loads(text)
+        for key in ("eigenvalues", "eigenvectors", "e_lambda"):
+            assert got[key] == want[key]
 
 
 class TestSolve:

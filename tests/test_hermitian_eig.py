@@ -76,6 +76,22 @@ class TestEigHermitian:
         with pytest.raises(NotHermitian):
             eig_hermitian(np.ones((2, 3)))
 
+    def test_stack_gives_each_matrix_its_own_decomposition(self):
+        rng = np.random.default_rng(6)
+        stack = np.stack([rand_hermitian_complex(3, rng) for _ in range(5)])
+        res = eig_hermitian(stack)
+        assert res.values.shape == (5, 3) and res.vectors.shape == (5, 3, 3)
+        for h, values, vectors in zip(stack, res.values, res.vectors):
+            one = eig_hermitian(h)
+            assert values.tobytes() == one.values.tobytes()
+            assert vectors.tobytes() == one.vectors.tobytes()
+
+    def test_stack_gate_checks_every_matrix(self):
+        # the gate is per matrix: a large entry in one does not excuse another
+        stack = np.stack([np.diag([1e6, 1.0]), np.array([[0.0, 1e-3], [0.0, 0.0]])])
+        with pytest.raises(NotHermitian):
+            eig_hermitian(stack)
+
 
 class TestClusterEigenvalues:
     def test_exact_repeat(self):
