@@ -95,20 +95,45 @@ class BenchRecord:
             raise ValueError("e_lambda must be nonnegative")
 
 
+def _quaternion_product(p, q):
+    """Components (w, x, y, z) of p q for component arrays p and q, in the
+    order of Quaternion.__mul__."""
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return np.array([
+        pw * qw - px * qx - py * qy - pz * qz,
+        pw * qx + px * qw + py * qz - pz * qy,
+        pw * qy - px * qz + py * qw + pz * qx,
+        pw * qz + px * qy - py * qx + pz * qw,
+    ])
+
+
 def build_laplacian(g: VisibilityGraph) -> DualQuaternionMatrix:
-    """Laplacian L = D - A with adjacency entries conj(q_i) * q_j."""
-    zero = DualQuaternion()
-    entries = [[zero for _ in range(g.n)] for _ in range(g.n)]
-    degree = [0] * g.n
-    for i, j in g.edges:
-        prod = g.poses[i].conj() * g.poses[j]
-        entries[i][j] = -prod
-        entries[j][i] = -prod.conj()
-        degree[i] += 1
-        degree[j] += 1
-    for i in range(g.n):
-        entries[i][i] = DualQuaternion(Quaternion(float(degree[i])), Quaternion())
-    return DualQuaternionMatrix.from_entries(entries)
+    """Laplacian L = D - A with adjacency entries conj(q_i) * q_j.
+
+    The products run over the edge list on real component arrays, in the
+    order of DualQuaternion.__mul__: st = p.st q.st, du = p.st q.du + p.du q.st.
+    """
+    n = g.n
+    poses = np.array([
+        (p.st.w, p.st.x, p.st.y, p.st.z, p.du.w, p.du.x, p.du.y, p.du.z) for p in g.poses
+    ]).reshape(n, 8).T
+    i, j = np.array(g.edges, dtype=int).reshape(-1, 2).T
+    conj = np.array([1.0, -1.0, -1.0, -1.0] * 2)[:, None]
+    p, q = poses[:, i] * conj, poses[:, j]
+    st = _quaternion_product(p[:4], q[:4])
+    du = _quaternion_product(p[:4], q[4:]) + _quaternion_product(p[4:], q[:4])
+    prod = np.concatenate([st, du])
+    # entry (i, j) is -prod and entry (j, i) is -conj(prod), whose quaternion
+    # components are (-w, x, y, z): only the real parts of a1 and a3 flip
+    parts = np.zeros((4, n, n), dtype=np.complex128)
+    for k, (re, im) in enumerate(zip(prod[0::2], prod[1::2])):
+        parts[k].real[i, j], parts[k].imag[i, j] = -re, -im
+        parts[k].real[j, i] = -re if k % 2 == 0 else re
+        parts[k].imag[j, i] = im
+    degree = np.bincount(np.concatenate([i, j]), minlength=n)
+    parts[0].real[np.arange(n), np.arange(n)] = degree
+    return DualQuaternionMatrix(*parts)
 
 
 # Poses of the five-agent ring fixture, transcribed at four decimals. The
@@ -222,18 +247,21 @@ def synth_known_spectrum(n: int, sigma, seed):
     rng = np.random.default_rng(seed)
     g1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     g2 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    zero = np.zeros(n, dtype=np.complex128)
-    basis = []
+    # modified Gram-Schmidt, right-looking: the columns are stored as rows,
+    # and each finished basis vector's projection leaves all later rows at once
+    x = [g1.T.copy(), g2.T.copy(), *np.zeros((2, n, n), dtype=np.complex128)]
     for j in range(n):
-        v = (g1[:, j], g2[:, j], zero, zero)
-        for u in basis:
-            v = tuple(a - b for a, b in zip(v, _dq_mul(u, _dq_dot(u, v), np.multiply)))
+        v = tuple(a[j] for a in x)
         if _dual_norm(v)[0] <= 1e-8:
             raise DegenerateRandomDraw("random columns were numerically dependent")
-        basis.append(_unit(v))
-    v1 = np.column_stack([u[0] for u in basis])
-    v2 = np.column_stack([u[1] for u in basis])
-    vmat = DualQuaternionMatrix(v1, v2)
+        u = _unit(v)
+        for a, b in zip(x, u):
+            a[j] = b
+        rest = tuple(a[j + 1 :] for a in x)
+        coef = tuple(c[:, None] for c in _dq_dot(u, rest))
+        for a, b in zip(rest, _dq_mul(u, coef, np.multiply)):
+            a -= b
+    vmat = DualQuaternionMatrix(np.ascontiguousarray(x[0].T), np.ascontiguousarray(x[1].T))
     diag = DualQuaternionMatrix(
         np.diag([s.st for s in sigma]).astype(np.complex128),
         np.zeros((n, n), dtype=np.complex128),

@@ -18,12 +18,19 @@ adjoint eigenvectors maps back through F^-1, and Gram-Schmidt in dual
 quaternion arithmetic, run on the raw component arrays, strips the redundant
 half.
 
-Every stage is a stacked array operation rather than one per cluster or
-group: one batched eigh per cluster block size, T in one masked division,
-F^-1 and the eigenvector check over all columns of U_hat at once, and
-e_lambda from one residual product over the returned vectors. Only
-Gram-Schmidt loops, over the candidates of groups larger than an eigenvector
-and its H-partner.
+Every stage is a stacked array operation rather than one per cluster, group
+or vector: clusters, groups and their means as arrays, one batched eigh per
+cluster block size, T in one masked division, F^-1 and the eigenvector check
+over all columns of U_hat at once. The returned vectors are the rows of one
+stacked (n, n) array per part: a group of adjoint multiplicity 2 gives its
+first candidate, and all of these are normalised at once; larger groups
+write their Gram-Schmidt survivors, which loops over the group's candidates.
+One pass then applies the canonical phase to every row, e_lambda comes from
+one residual product over the rows, and the DualQuaternionVector objects are
+read-only views of the rows, built once at the end. Every reduction over a
+vector runs along its row, in the order the per-vector kernels in
+dqeig.matrices use, so the results are bit for bit those of normalising and
+phasing each vector on its own.
 """
 
 from dataclasses import dataclass
@@ -32,7 +39,7 @@ import numpy as np
 
 from .adjoint import adjoint
 from .errors import ClusterInstability, NotAnEigenvector, NotHermitian
-from .hermitian_eig import cluster_eigenvalues, eig_hermitian
+from .hermitian_eig import _clusters, _run_means, _runs, eig_hermitian
 from .matrices import (
     DualComplexMatrix,
     DualQuaternionMatrix,
@@ -42,8 +49,9 @@ from .matrices import (
     _eig_residual,
     _norm_2r,
     _qmul,
+    _scale_dual,
     _sumsq,
-    _unit,
+    _unit_rows,
 )
 from .scalars import DualNumber
 
@@ -102,21 +110,21 @@ def eig_dual_complex_hermitian(
     _check_hermitian(p)
 
     base = eig_hermitian(p.st)
-    clusters = cluster_eigenvalues(base.values, tol_group)
-    scale = max(1.0, abs(clusters[0][0]), abs(clusters[-1][0])) if clusters else 1.0
-    for (left, _), (right, _) in zip(clusters, clusters[1:]):
-        if left - right < 10.0 * tol_group * scale:
-            raise ClusterInstability(
-                f"cluster gap {left - right:.3e} below 10*tol_group; "
-                "dual coupling entries would blow up"
-            )
+    values, counts = _clusters(base.values, tol_group)
+    scale = max(1.0, abs(values[0]), abs(values[-1])) if values.size else 1.0
+    gaps = values[:-1] - values[1:]
+    narrow = np.flatnonzero(gaps < 10.0 * tol_group * scale)
+    if narrow.size:
+        raise ClusterInstability(
+            f"cluster gap {gaps[narrow[0]]:.3e} below 10*tol_group; "
+            "dual coupling entries would blow up"
+        )
 
     u = base.vectors
     p2 = u.conj().T @ p.du @ u
 
     # diagonalize the diagonal blocks of the rotated dual part, all blocks of
     # one size in one batched eigh
-    counts = np.array([count for _, count in clusters], dtype=int)
     starts = np.cumsum(counts) - counts
     v = np.zeros_like(u)
     mu = np.zeros(len(u))
@@ -129,15 +137,15 @@ def eig_dual_complex_hermitian(
         mu[idx] = sub.values
 
     # T_ij = Q_ij / (lam_j - lam_i) between distinct clusters, 0 within one
-    lam = np.repeat([value for value, _ in clusters], counts)
-    cluster_id = np.repeat(np.arange(len(clusters)), counts)
+    lam = np.repeat(values, counts)
+    cluster_id = np.repeat(np.arange(len(counts)), counts)
     q = v.conj().T @ p2 @ v
     t = np.zeros_like(q)
     np.divide(q, lam - lam[:, None], out=t, where=cluster_id != cluster_id[:, None])
 
     u_st = u @ v
     u_hat = DualComplexMatrix(u_st, u_st @ t)
-    sigma = tuple(DualNumber(float(st), float(du)) for st, du in zip(lam, mu))
+    sigma = tuple(map(DualNumber, lam.tolist(), mu.tolist()))
     return DualEigenDecomposition(u_hat, sigma)
 
 
@@ -159,32 +167,41 @@ def _gram_schmidt(x, tol_rank: float):
     dual quaternion arrays. Each column minus its projections onto all the
     vectors kept so far, taken as one stacked product, is normalised and kept
     unless the standard part of that remainder has norm at most
-    tol_rank * max(1, |column|_2R). Returns the kept vectors as part tuples.
+    tol_rank * max(1, |column|_2R). Returns the kept vectors as the rows of a
+    part tuple of (kept, n) arrays.
     """
     n, k = x[0].shape
+    # |column|_2R of every column, the columns copied to rows so that each is
+    # reduced as _norm_2r reduces one vector
+    bounds = tol_rank * np.maximum(
+        1.0, _norm_2r(tuple(np.ascontiguousarray(a.T) for a in x), axis=-1)
+    )
     # kept vectors as the columns of U (stored as rows) and the rows of U*
     rows = [np.empty((k, n), dtype=np.complex128) for _ in x]
     conj_rows = [np.empty((k, n), dtype=np.complex128) for _ in x]
-    kept = []
+    r = 0
     for j in range(k):
-        v = tuple(a[:, j] for a in x)
-        r = len(kept)
-        c = _dq_mul(tuple(a[:r] for a in conj_rows), v)
-        w = tuple(a - b for a, b in zip(v, _dq_mul(tuple(a[:r].T for a in rows), c)))
-        if _dual_norm(w)[0] > tol_rank * max(1.0, float(_norm_2r(v))):
-            w = _unit(w)
+        v = w = tuple(a[:, j] for a in x)
+        if r:
+            c = _dq_mul(tuple(a[:r] for a in conj_rows), v)
+            w = tuple(a - b for a, b in zip(v, _dq_mul(tuple(a[:r].T for a in rows), c)))
+        st, du = _dual_norm(w)
+        if st > bounds[j]:
+            # _unit(w), whose standard part is nonzero here
+            w = _scale_dual(w, 1.0 / st, -du / (st * st))
             # (A + B j)* = conj(A)^T - B^T j, per part of the dual split
             for row, conj_row, a, flip in zip(rows, conj_rows, w, (np.conj, np.negative) * 2):
                 row[r] = a
                 conj_row[r] = flip(a)
-            kept.append(w)
-    return kept
+            r += 1
+    return tuple(row[:r] for row in rows)
 
 
 def _redundant_second(x, y, tol_rank: float):
     """Per column, whether Gram-Schmidt drops y after keeping x: the standard
     part of y minus its projection onto the quaternion line of x's has norm at
-    most tol_rank * max(1, |y|_2R). x and y are part tuples of n x k arrays.
+    most tol_rank * max(1, |y|_2R). x and y are part tuples of n x k arrays;
+    only the standard part of x is read.
     """
     x1, x2, y1, y2 = x[0], x[1], y[0], y[1]
     norm_sq = _sumsq(x1, 0) + _sumsq(x2, 0)
@@ -211,21 +228,39 @@ def orthogonalize_eigenvectors(
         return []
     x = tuple(np.stack(part, axis=1) for part in zip(*(v._parts for v in vs)))
     _check_eigenvectors(q, x, np.full(len(vs), lam.st), np.full(len(vs), lam.du))
-    return [DualQuaternionVector(*w) for w in _gram_schmidt(x, tol_rank)]
+    return [DualQuaternionVector(*w) for w in zip(*_gram_schmidt(x, tol_rank))]
 
 
-def _canonical_phase(v: DualQuaternionVector) -> DualQuaternionVector:
-    """Right-scale by a unit dual quaternion so the entry with the largest
-    standard part becomes a nonnegative dual number. Makes eigenvectors
-    reproducible across runs; the eigenpair property is unchanged because
-    dual-number eigenvalues commute with the scaling."""
-    mags = (
-        v.v1.real**2 + v.v1.imag**2 + v.v2.real**2 + v.v2.imag**2
-    )
-    idx = int(np.argmax(mags))
-    e = v.entry(idx)
-    a = e.conj() / e.magnitude()
-    return v.scale_right(a)
+# DualQuaternion.conj on quaternion components (w, x, y, z)
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])[:, None]
+
+
+def _canonical_phase(x):
+    """Right-scale each row of x, a part tuple of (k, n) arrays of unit
+    vectors, by the unit dual quaternion conj(e)/|e| of its entry e with the
+    largest standard-part modulus, which makes that entry a nonnegative dual
+    number. Makes eigenvectors reproducible across runs; the eigenpair
+    property is unchanged because dual-number eigenvalues commute with the
+    scaling. conj(e)/|e| is formed on the real components in the order of
+    DualQuaternion.conj, magnitude and division."""
+    v1, v2 = x[0], x[1]
+    k = len(v1)
+    mags = v1.real**2 + v1.imag**2 + v2.real**2 + v2.imag**2
+    rows, cols = np.arange(k), mags.argmax(axis=-1)
+    e = np.stack([a[rows, cols] for a in x])
+    # the (w, x, y, z) components of e's standard and dual parts, conjugated
+    st, du = e.view(np.float64).reshape(2, 2, k, 2).transpose(0, 1, 3, 2).reshape(2, 4, k)
+    conj_st, conj_du = st * _CONJ, du * _CONJ
+    # |e| = m + m' eps with m' = sc(conj(e_st) e_du) / m, m > 0 for unit rows
+    sq = conj_st * conj_st
+    m = np.sqrt(sq[0] + sq[1] + sq[2] + sq[3])
+    cross = conj_st * du
+    m_du = (cross[0] - cross[1] - cross[2] - cross[3]) / m
+    # conj(e) (1/m - m'/m^2 eps), as complex pairs (a1, a2, a3, a4) per row
+    r_st, r_du = 1.0 / m, -m_du / (m * m)
+    a = np.concatenate([conj_st * r_st, conj_st * r_du + conj_du * r_st])
+    c = np.ascontiguousarray(a.T).view(np.complex128)
+    return _dq_mul(x, tuple(c[:, i : i + 1] for i in range(4)), np.multiply)
 
 
 def eddcam_ea(
@@ -246,8 +281,7 @@ def eddcam_ea(
         return EigenResult((), 0.0)
 
     dec = eig_dual_complex_hermitian(adjoint(q), tol_group)
-    st = np.array([s.st for s in dec.sigma])
-    du = np.array([s.du for s in dec.sigma])
+    st, du = np.array([(s.st, s.du) for s in dec.sigma]).T
     st_scale = max(1.0, float(np.abs(st).max()))
     du_scale = max(1.0, float(np.abs(du).max()))
 
@@ -255,18 +289,13 @@ def eddcam_ea(
     cut = (np.abs(np.diff(st)) > tol_group * st_scale) | (
         np.abs(np.diff(du)) > tol_group * du_scale
     )
-    bounds = [0, *(np.flatnonzero(cut) + 1).tolist(), len(st)]
-    groups = list(zip(bounds[:-1], bounds[1:]))
-    lams = [DualNumber(float(st[a:b].mean()), float(du[a:b].mean())) for a, b in groups]
-    sizes = np.diff(bounds)
+    starts, sizes = _runs(cut)
+    lam_st, lam_du = _run_means(st, starts, sizes), _run_means(du, starts, sizes)
 
     # F^-1 of every column of U_hat at once, and every candidate checked
     s, d = dec.u_hat.st, dec.u_hat.du
     cand = (s[:n], -s[n:].conj(), d[:n], -d[n:].conj())
-    _check_eigenvectors(
-        q, cand, np.repeat([lam.st for lam in lams], sizes),
-        np.repeat([lam.du for lam in lams], sizes),
-    )
+    _check_eigenvectors(q, cand, np.repeat(lam_st, sizes), np.repeat(lam_du, sizes))
 
     # A group of adjoint multiplicity 2 is one eigenvector and its H-partner:
     # Gram-Schmidt keeps the first candidate, normalised, and drops the second.
@@ -274,30 +303,47 @@ def eddcam_ea(
     # tiny tol_group can split a double eigenvalue into two groups of 2 that
     # are not H-partners, and those go through Gram-Schmidt, whose count the
     # check below then rejects.
-    twos = np.asarray(bounds[:-1])[sizes == 2]
+    twos = np.flatnonzero(sizes == 2)
+    first = starts[twos]
     redundant = _redundant_second(
-        tuple(a[:, twos] for a in cand), tuple(a[:, twos + 1] for a in cand), tol_rank
+        tuple(a[:, first] for a in cand[:2]), tuple(a[:, first + 1] for a in cand), tol_rank
     )
-    shortcut = set(twos[redundant].tolist())
-
-    pairs = []
-    for lam, (a, b) in zip(lams, groups):
-        if a in shortcut:
-            vecs = [_unit(tuple(c[:, a] for c in cand))]
-        else:
-            vecs = _gram_schmidt(tuple(c[:, a:b] for c in cand), tol_rank)
-        pairs.append((lam, tuple(_canonical_phase(DualQuaternionVector(*w)) for w in vecs)))
-
-    total = sum(len(vecs) for _, vecs in pairs)
+    shortcut = np.zeros(len(starts), dtype=bool)
+    shortcut[twos[redundant]] = True
+    kept = {
+        g: _gram_schmidt(tuple(c[:, a : a + k] for c in cand), tol_rank)
+        for g, a, k in zip(np.flatnonzero(~shortcut), starts[~shortcut], sizes[~shortcut])
+    }
+    counts = np.ones(len(starts), dtype=int)
+    for g, rows in kept.items():
+        counts[g] = len(rows[0])
+    total = int(counts.sum())
     if total != n:
         raise ClusterInstability(
             f"recovered {total} eigenvectors for dimension {n}; "
             "eigenvalue grouping is unstable at this tolerance"
         )
+
+    # every returned vector as a row of one stacked (n, n) array per part
+    offsets = np.cumsum(counts) - counts
+    x = [np.empty((n, n), dtype=np.complex128) for _ in cand]
+    for a, u in zip(x, _unit_rows(tuple(c.T[starts[shortcut]] for c in cand))):
+        a[offsets[shortcut]] = u
+    for g, rows in kept.items():
+        for a, u in zip(x, rows):
+            a[offsets[g] : offsets[g] + len(u)] = u
+    x = _canonical_phase(x)
+    for a in x:
+        a.setflags(write=False)
+
     # e_lambda from one residual product over the returned vectors
-    w = tuple(np.stack(part, axis=1) for part in zip(*(v._parts for _, vs in pairs for v in vs)))
     res = _eig_residual(
-        q._parts, w, np.array([lam.st for lam, vs in pairs for _ in vs]),
-        np.array([lam.du for lam, vs in pairs for _ in vs]), axis=0,
+        q._parts, tuple(a.T for a in x), np.repeat(lam_st, counts),
+        np.repeat(lam_du, counts), axis=0,
     )
-    return EigenResult(tuple(pairs), float(np.mean(res)))
+    vecs = [DualQuaternionVector._wrap(*parts) for parts in zip(*x)]
+    pairs = tuple(
+        (DualNumber(a, b), tuple(vecs[o : o + k]))
+        for a, b, o, k in zip(lam_st.tolist(), lam_du.tolist(), offsets.tolist(), counts.tolist())
+    )
+    return EigenResult(pairs, float(np.mean(res)))

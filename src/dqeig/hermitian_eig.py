@@ -48,20 +48,42 @@ def eig_hermitian(h, tol: float = 1e-10) -> ComplexHermitianEig:
     return ComplexHermitianEig(values, vectors)
 
 
+def _runs(cut):
+    """(starts, sizes) of the runs of len(cut) + 1 values that split after
+    every position i where cut[i] is true."""
+    bounds = np.concatenate(([0], np.flatnonzero(cut) + 1, [len(cut) + 1]))
+    return bounds[:-1], np.diff(bounds)
+
+
+def _run_means(x, starts, sizes):
+    """np.mean of each run x[a:a+k] for a, k in zip(starts, sizes), bit for
+    bit. numpy adds fewer than eight values one after another, so runs of up
+    to seven are summed as rows padded with -0.0, which leaves every sum as it
+    is; longer runs, which numpy sums pairwise, take np.mean of their slice."""
+    k = np.arange(7)
+    idx = np.minimum(starts[:, None] + k, len(x) - 1)
+    means = np.where(k < sizes[:, None], x[idx], -0.0).sum(axis=-1) / sizes
+    for i in np.flatnonzero(sizes > 7):
+        means[i] = x[starts[i] : starts[i] + sizes[i]].mean()
+    return means
+
+
+def _clusters(values, tol_group: float = 1e-8):
+    """(means, sizes) of the clusters of a descending eigenvalue array, as
+    arrays: the rule of cluster_eigenvalues."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        return np.empty(0), np.empty(0, dtype=int)
+    threshold = tol_group * max(1.0, abs(float(values[0])), abs(float(values[-1])))
+    starts, sizes = _runs(values[:-1] - values[1:] > threshold)
+    return _run_means(values, starts, sizes), sizes
+
+
 def cluster_eigenvalues(values, tol_group: float = 1e-8):
     """Group a descending eigenvalue list into (value, multiplicity) clusters.
 
     Consecutive values within tol_group * max(1, max |values|) of each other
     share a cluster; the cluster value is the mean of its members.
     """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return []
-    threshold = tol_group * max(1.0, abs(float(values[0])), abs(float(values[-1])))
-    clusters = []
-    start = 0
-    for i in range(1, values.size + 1):
-        if i == values.size or values[i - 1] - values[i] > threshold:
-            clusters.append((float(values[start:i].mean()), i - start))
-            start = i
-    return clusters
+    means, sizes = _clusters(values, tol_group)
+    return list(zip(means.tolist(), sizes.tolist()))

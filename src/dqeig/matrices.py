@@ -87,13 +87,14 @@ def _dc_mul(a, b):
 
 
 def _dq_dot(x, y):
-    """conj(x)^T y of dual quaternion vectors as complex pairs (s1, s2, d1, d2)."""
+    """conj(x)^T y of dual quaternion vectors as complex pairs (s1, s2, d1, d2);
+    one per row when y is a stack of vectors stored as rows."""
 
     def hdot(x1, x2, y1, y2):
         # sum over conj(x_i) y_i with x = x1 + x2 j, y = y1 + y2 j
-        a = np.sum(np.conj(x1) * y1 + x2 * np.conj(y2))
-        b = np.sum(np.conj(x1) * y2 - x2 * np.conj(y1))
-        return complex(a), complex(b)
+        a = np.add.reduce(np.conj(x1) * y1 + x2 * np.conj(y2), -1)
+        b = np.add.reduce(np.conj(x1) * y2 - x2 * np.conj(y1), -1)
+        return a, b
 
     x1, x2, x3, x4 = x
     s1, s2 = hdot(x1, x2, y[0], y[1])
@@ -139,6 +140,21 @@ def _unit(x):
         raise ZeroVector("cannot normalize the zero vector")
     d = x[len(x) // 2:]
     return (*[b * (1.0 / du) for b in d], *[np.zeros_like(b) for b in d])
+
+
+def _unit_rows(x):
+    """_unit of every row of x, a part tuple of (k, n) arrays whose rows have a
+    nonzero standard part. Each row is reduced along the last axis in the
+    order _unit reduces a vector, so every row comes out bit for bit as
+    _unit would return it."""
+    k = len(x) // 2
+    st_sq = cross = 0.0
+    for a, b in zip(x, x[k:]):
+        st_sq = st_sq + _sumsq(a, -1)
+        cross = cross + np.add.reduce(a.real * b.real + a.imag * b.imag, -1)
+    st = np.sqrt(st_sq)
+    du = cross / st
+    return _scale_dual(x, (1.0 / st)[:, None], (-du / (st * st))[:, None])
 
 
 def _eig_residual(a, x, st, du, axis=None):
@@ -302,6 +318,14 @@ class DualQuaternionVector:
         self.v1, self.v2, self.v3, self.v4 = _freeze(v1, v2, v3, v4)
 
     @classmethod
+    def _wrap(cls, v1, v2, v3, v4) -> "DualQuaternionVector":
+        """Wrap four read-only 1-d arrays, such as the rows of a frozen
+        stacked array, without copying them."""
+        v = cls.__new__(cls)
+        v.v1, v.v2, v.v3, v.v4 = v1, v2, v3, v4
+        return v
+
+    @classmethod
     def zeros(cls, n: int) -> "DualQuaternionVector":
         z = np.zeros(n, dtype=np.complex128)
         return cls(z, z, z, z)
@@ -376,7 +400,7 @@ class DualQuaternionVector:
 
     def dot(self, other: "DualQuaternionVector") -> DualQuaternion:
         """conj(self)^T other, a scalar dual quaternion."""
-        s1, s2, d1, d2 = _dq_dot(self._parts, other._parts)
+        s1, s2, d1, d2 = map(complex, _dq_dot(self._parts, other._parts))
         return DualQuaternion(
             Quaternion.from_complex_pair(s1, s2), Quaternion.from_complex_pair(d1, d2)
         )

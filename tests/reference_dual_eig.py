@@ -1,22 +1,38 @@
 """EDDCAM-EA one group and one cluster at a time: the reference the stacked
 version in dqeig.dual_eig is checked against.
 
+cluster_eigenvalues walks the eigenvalues one at a time.
 eig_dual_complex_hermitian diagonalises each cluster's block with its own
 eigh and builds T cluster pair by cluster pair. eddcam_ea maps every
-adjoint column back with its own F^-1, and runs Gram-Schmidt and the
-residuals on the immutable DualQuaternionVector objects, one candidate and
-one projection at a time. tests/test_dual_eig_core.py states how close the
-stacked version must come to it.
+adjoint column back with its own F^-1, and runs Gram-Schmidt, the canonical
+phase and the residuals on the immutable DualQuaternionVector objects, one
+vector and one projection at a time. tests/test_dual_eig_core.py states how
+close the stacked version must come to it.
 """
 
 import numpy as np
 
 from dqeig.adjoint import adjoint, vec_map_f_inverse
-from dqeig.dual_eig import DualEigenDecomposition, EigenResult, _canonical_phase, _check_hermitian
+from dqeig.dual_eig import DualEigenDecomposition, EigenResult, _check_hermitian
 from dqeig.errors import ClusterInstability, NotAnEigenvector
-from dqeig.hermitian_eig import cluster_eigenvalues, eig_hermitian
+from dqeig.hermitian_eig import eig_hermitian
 from dqeig.matrices import DualComplexMatrix
 from dqeig.scalars import DualNumber
+
+
+def cluster_eigenvalues(values, tol_group=1e-8):
+    """(value, multiplicity) clusters of a descending list, one value at a time."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        return []
+    threshold = tol_group * max(1.0, abs(float(values[0])), abs(float(values[-1])))
+    clusters = []
+    start = 0
+    for i in range(1, values.size + 1):
+        if i == values.size or values[i - 1] - values[i] > threshold:
+            clusters.append((float(values[start:i].mean()), i - start))
+            start = i
+    return clusters
 
 
 def eig_dual_complex_hermitian(p, tol_group=1e-8):
@@ -56,6 +72,13 @@ def eig_dual_complex_hermitian(p, tol_group=1e-8):
         for mu in cluster_mus
     )
     return DualEigenDecomposition(DualComplexMatrix(u_st, u_st @ t), sigma)
+
+
+def _canonical_phase(v):
+    """v right-scaled by conj(e)/|e|, e its entry with the largest standard part."""
+    mags = v.v1.real**2 + v.v1.imag**2 + v.v2.real**2 + v.v2.imag**2
+    e = v.entry(int(np.argmax(mags)))
+    return v.scale_right(e.conj() / e.magnitude())
 
 
 def orthogonalize_eigenvectors(vs, q, lam, tol_rank=1e-8):

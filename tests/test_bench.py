@@ -17,10 +17,15 @@ from dqeig.errors import DegenerateRandomDraw, SparsityTooHigh
 from dqeig.hermitian_eig import eig_hermitian
 from dqeig.matrices import DualQuaternionMatrix
 from dqeig.scalars import DualNumber, DualQuaternion, Quaternion
+from tests import reference_bench as ref
 
 
 def identity_pose():
     return DualQuaternion.one()
+
+
+def matrix_bytes(m):
+    return b"".join(a.tobytes() for a in m._parts)
 
 
 class TestBuildLaplacian:
@@ -59,6 +64,13 @@ class TestBuildLaplacian:
         g = VisibilityGraph(6, g0.edges, (identity_pose(),) * 6)
         values = eig_hermitian(build_laplacian(g).a1).values
         assert values.min() >= -1e-12
+
+    @pytest.mark.parametrize(
+        "n,s", [(3, 0.5), (10, 0.3), (50, 0.1), (200, 0.005), (200, 0.1)]
+    )
+    def test_matches_the_object_build_byte_for_byte(self, n, s):
+        g = random_graph(n, s, [11, n, int(1000 * s)])
+        assert matrix_bytes(build_laplacian(g)) == matrix_bytes(ref.build_laplacian(g))
 
     def test_zero_eigenvalue_is_exactly_dual_zero(self):
         # the pose vector itself spans the kernel with eigenvalue 0 + 0 eps
@@ -187,6 +199,15 @@ class TestSynthKnownSpectrum:
         for g, s in zip(got, want):
             assert abs(g.st - s.st) <= 1e-8 and abs(g.du - s.du) <= 1e-8
 
+    @pytest.mark.parametrize("n", [1, 2, 12, 60, 150])
+    def test_matches_the_left_looking_reference_byte_for_byte(self, n):
+        # 150 columns exceed numpy's 128-element pairwise-sum block
+        rng = np.random.default_rng([29, n])
+        sigma = [DualNumber(float(a), float(b)) for a, b in rng.standard_normal((n, 2))]
+        got, _ = synth_known_spectrum(n, sigma, [31, n])
+        want, _ = ref.synth_known_spectrum(n, sigma, [31, n])
+        assert matrix_bytes(got) == matrix_bytes(want)
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             synth_known_spectrum(3, (DualNumber(1, 0),), 1)
@@ -201,6 +222,24 @@ class TestSynthKnownSpectrum:
         )
         with pytest.raises(DegenerateRandomDraw):
             synth_known_spectrum(2, (DualNumber(1, 0), DualNumber(0, 0)), 1)
+
+    def test_dependent_later_column_raises_alike(self, monkeypatch):
+        # column 2 of every draw repeats column 0, so the third basis vector
+        # has nothing left after its projections
+        class RepeatingRng:
+            def __init__(self, seed):
+                self.rng = np.random.RandomState(seed)
+
+            def standard_normal(self, shape):
+                draw = self.rng.standard_normal(shape)
+                draw[:, 2] = draw[:, 0]
+                return draw
+
+        monkeypatch.setattr("dqeig.bench.np.random.default_rng", RepeatingRng)
+        sigma = tuple(DualNumber(float(k)) for k in range(4))
+        for synth in (synth_known_spectrum, ref.synth_known_spectrum):
+            with pytest.raises(DegenerateRandomDraw):
+                synth(4, sigma, 3)
 
 
 class TestRunBenchmark:

@@ -20,7 +20,7 @@ from dqeig import dual_eig
 from dqeig.adjoint import adjoint
 from dqeig.bench import build_laplacian, pentagon_fixture, random_graph, synth_known_spectrum
 from dqeig.errors import DQEigError, NotAnEigenvector
-from dqeig.matrices import DualQuaternionVector, _dq_mul
+from dqeig.matrices import DualQuaternionVector, _dq_mul, _unit_rows
 from dqeig.scalars import DualNumber, DualQuaternion, Quaternion
 from tests import reference_dual_eig as ref
 
@@ -43,6 +43,11 @@ def problems():
     yield "planted-pairs", synth_known_spectrum(12, planted_pairs(12, rng), rng)[0]
     for s in (0.02, 0.05):
         yield f"laplacian-n60-{s}", build_laplacian(random_graph(60, s, [7, int(1000 * s), 0]))
+    # above numpy's 128-element pairwise-sum block, where a reduction along
+    # the wrong axis changes the last bits
+    yield "laplacian-n150-0.1", build_laplacian(random_graph(150, 0.1, [7, 100, 0]))
+    rng = np.random.default_rng(150)
+    yield "planted-pairs-150", synth_known_spectrum(150, planted_pairs(150, rng), rng)[0]
 
 
 PROBLEMS = list(problems())
@@ -108,6 +113,34 @@ def test_problems_include_disconnected_graphs():
     }
     assert max(groups.values()) > 1
     assert min(groups["laplacian-n60-0.02"], groups["laplacian-n60-0.05"]) > 1
+
+
+def test_problems_include_connected_and_paired_spectra_at_n150():
+    # every group has adjoint multiplicity 2, so every vector is compared bit for bit
+    for name in ("laplacian-n150-0.1", "planted-pairs-150"):
+        q = dict(PROBLEMS)[name]
+        assert {len(vecs) for _, vecs in dual_eig.eddcam_ea(q).pairs} == {1}
+
+
+@pytest.mark.parametrize("name", ["pentagon", "laplacian-0.1#0", "laplacian-n60-0.02"])
+def test_returned_vectors_are_read_only(name):
+    for v in dual_eig.eddcam_ea(dict(PROBLEMS)[name]).eigenvectors():
+        for a in v._parts:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+
+def test_canonical_phase_matches_the_object_phase():
+    # rows of a stack, each phased as its own DualQuaternionVector
+    rng = np.random.default_rng(3)
+    for n in (1, 5, 150):
+        x = _unit_rows(tuple(rng.standard_normal((7, n)) + 1j * rng.standard_normal((7, n))
+                             for _ in range(4)))
+        got = dual_eig._canonical_phase(x)
+        for k in range(7):
+            want = ref._canonical_phase(DualQuaternionVector(*(a[k] for a in x)))
+            assert b"".join(a[k].tobytes() for a in got) == bits(want)
 
 
 def test_redundant_candidates_are_dropped_alike():

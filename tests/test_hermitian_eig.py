@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dqeig.errors import NotHermitian
-from dqeig.hermitian_eig import cluster_eigenvalues, eig_hermitian
+from dqeig.hermitian_eig import _run_means, _runs, cluster_eigenvalues, eig_hermitian
+from tests import reference_dual_eig as ref
 
 
 def rand_hermitian_complex(n, rng):
@@ -129,3 +130,29 @@ class TestClusterEigenvalues:
 
     def test_empty(self):
         assert cluster_eigenvalues([], 1e-8) == []
+
+    def test_matches_the_loop_bit_for_bit(self):
+        # repeated values in runs of 1 to 11, across numpy's 8-value
+        # summation block, and one run of 200 across its 128-value block
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            values = np.sort(rng.standard_normal(rng.integers(1, 30)))[::-1]
+            repeats = rng.integers(1, 12, len(values))
+            values = np.repeat(values * 10.0 ** rng.integers(-3, 4), repeats)
+            got = cluster_eigenvalues(values, 1e-8)
+            want = ref.cluster_eigenvalues(values, 1e-8)
+            assert [(np.float64(v).tobytes(), c) for v, c in got] == [
+                (np.float64(v).tobytes(), c) for v, c in want
+            ]
+        spread = np.sort(1.0 + 1e-10 * rng.standard_normal(200))[::-1]
+        assert cluster_eigenvalues(spread) == ref.cluster_eigenvalues(spread)
+
+
+def test_run_means_are_np_mean_bit_for_bit():
+    rng = np.random.default_rng(9)
+    sizes = np.array([1, 2, 3, 7, 8, 9, 16, 127, 128, 129, 200, 1, 5])
+    x = rng.standard_normal(sizes.sum()) * 10.0 ** rng.integers(-3, 4, sizes.sum())
+    starts, got_sizes = _runs(np.isin(np.arange(1, len(x)), np.cumsum(sizes)[:-1]))
+    assert got_sizes.tolist() == sizes.tolist()
+    want = [x[a : a + k].mean() for a, k in zip(starts, sizes)]
+    assert _run_means(x, starts, sizes).tobytes() == np.array(want).tobytes()

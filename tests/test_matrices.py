@@ -8,6 +8,9 @@ from dqeig.matrices import (
     DualComplexVector,
     DualQuaternionMatrix,
     DualQuaternionVector,
+    _dq_dot,
+    _unit,
+    _unit_rows,
     random_unit_vector,
 )
 from dqeig.scalars import DualNumber, DualQuaternion, Quaternion
@@ -202,6 +205,32 @@ class TestUnitProjection:
         assert (a - b).norm_2r() == 0.0
         nrm = a.norm_2()
         assert abs(nrm.st - 1.0) <= 1e-12 and abs(nrm.du) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 10, 150])
+    def test_stacked_rows_are_unit_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        x = tuple(rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n)) for _ in range(4))
+        got = _unit_rows(x)
+        for k in range(6):
+            want = _unit(tuple(a[k] for a in x))
+            assert all(g[k].tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_stacked_dot_is_one_dot_per_row():
+    rng = np.random.default_rng(14)
+    x = rand_dq_vector(150, rng)
+    ys = [rand_dq_vector(150, rng) for _ in range(3)]
+    got = _dq_dot(x._parts, tuple(np.stack(p) for p in zip(*(y._parts for y in ys))))
+    for k, y in enumerate(ys):
+        assert np.array(got)[:, k].tobytes() == np.array(_dq_dot(x._parts, y._parts)).tobytes()
+
+
+def test_wrapped_vector_shares_its_rows():
+    rows = np.arange(6, dtype=np.complex128).reshape(2, 3)
+    rows.setflags(write=False)
+    v = DualQuaternionVector._wrap(rows[0], rows[1], rows[0], rows[1])
+    assert np.shares_memory(v.v1, rows) and not v.v1.flags.writeable
+    assert (v - DualQuaternionVector(rows[0], rows[1], rows[0], rows[1])).norm_2r() == 0.0
 
 
 def test_hermitian_quadratic_form_is_dual_number():
