@@ -36,7 +36,14 @@ __all__ = [
 
 
 def _block(a, b):
-    return np.block([[a, b], [-b.conj(), a.conj()]])
+    """[[a, b], [-conj(b), conj(a)]], written block by block into one array."""
+    r, c = a.shape
+    out = np.empty((2 * r, 2 * c), dtype=np.complex128)
+    out[:r, :c] = a
+    out[:r, c:] = b
+    np.negative(np.conj(b, out=out[r:, :c]), out=out[r:, :c])
+    np.conj(a, out=out[r:, c:])
+    return out
 
 
 def adjoint(q: DualQuaternionMatrix) -> DualComplexMatrix:

@@ -254,7 +254,7 @@ def synth_known_spectrum(n: int, sigma, seed):
         v = tuple(a[j] for a in x)
         if _dual_norm(v)[0] <= 1e-8:
             raise DegenerateRandomDraw("random columns were numerically dependent")
-        u = _unit(v)
+        u = _unit(np.stack(v))
         for a, b in zip(x, u):
             a[j] = b
         rest = tuple(a[j + 1 :] for a in x)

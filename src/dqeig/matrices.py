@@ -10,10 +10,14 @@ arithmetic run on complex ndarrays:
     (A + B j)^*        = (conj(A)^T, -B^T)
 
 Each dual-algebra formula is written once, as a kernel over raw parts: a
-dual quaternion array is the tuple (a1, a2, a3, a4) and a dual complex one
-the tuple (st, du), so the first half of a tuple is the standard part and the
-second half the dual part. The object methods are thin wrappers over these
-kernels, and the solvers' hot paths call them on bare arrays.
+dual quaternion array is the parts (a1, a2, a3, a4) and a dual complex one
+the parts (st, du), so the first half of the parts is the standard part and
+the second half the dual part. The parts are a tuple of arrays, or one array
+that stacks them along its first axis: the power loops keep each vector as
+one (4, n) or (2, n) array, and the dual-number scaling, the normalization
+and the dual complex product take and return that layout. The object methods
+are thin wrappers over these kernels, and the solvers' hot paths call them on
+bare arrays.
 """
 
 import math
@@ -60,9 +64,9 @@ def _sumsq(a, axis=None):
     return np.add.reduce(re * re + im * im, axis)
 
 
-def _redot(a, b) -> float:
+def _redot(a, b, axis=None):
     """Real part of <a, b>, i.e. sc(tr(A* B)) summed over entries."""
-    return float(np.add.reduce(a.real * b.real + a.imag * b.imag, None))
+    return np.add.reduce(a.real * b.real + a.imag * b.imag, axis)
 
 
 def _qmul(a1, a2, b1, b2, mul):
@@ -70,9 +74,22 @@ def _qmul(a1, a2, b1, b2, mul):
     return mul(a1, b1) - mul(a2, np.conj(b2)), mul(a1, b2) + mul(a2, np.conj(b1))
 
 
+# (A1 + A2 j)(B1 + B2 j) = (A1 B1 + A2 W1) + (A1 B2 + A2 W2) j with
+# (W1, W2) = (-conj(B2), conj(B1)); W of all four parts in one gather
+_J_SWAP = [1, 0, 3, 2]
+_J_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])[:, None]
+
+
 def _dq_mul(a, b, mul=np.matmul):
     """Dual quaternion product a b: matrix @ matrix or matrix @ vector, or with
-    mul=np.multiply an array right-multiplied entrywise by a scalar."""
+    mul=np.multiply an array right-multiplied entrywise by a scalar. A vector
+    stacked as one (4, n) array is multiplied as a batch, in 4 matrix
+    products on its rows, and comes back stacked."""
+    if isinstance(b, np.ndarray):
+        w = np.conj(b[_J_SWAP]) * _J_SIGN
+        y = b @ a[0].T + w @ a[1].T
+        y[2:] += b[:2] @ a[2].T + w[:2] @ a[3].T
+        return y
     a1, a2, a3, a4 = a
     b1, b2, b3, b4 = b
     c1, c2 = _qmul(a1, a2, b1, b2, mul)
@@ -82,8 +99,15 @@ def _dq_mul(a, b, mul=np.matmul):
 
 
 def _dc_mul(a, b):
-    """Dual complex product a @ b."""
-    return a[0] @ b[0], a[0] @ b[1] + a[1] @ b[0]
+    """Dual complex product a @ b, matrix @ matrix or matrix @ vector, with the
+    parts of b and of the product stacked along the first axis."""
+    b = np.asarray(b)
+    if b.ndim == 2:
+        out = np.matmul(a[0], b[..., None])[..., 0]
+    else:
+        out = np.matmul(a[0], b)
+    out[1] += a[1] @ b[0]
+    return out
 
 
 def _dq_dot(x, y):
@@ -104,11 +128,12 @@ def _dq_dot(x, y):
 
 
 def _scale_dual(x, st, du):
-    """x (st + du eps), for either algebra."""
-    out = [a * st for a in x]
-    for a, b in zip(x, out[len(x) // 2:]):
-        b += a * du
-    return tuple(out)
+    """x (st + du eps), for either algebra, as stacked parts."""
+    x = np.asarray(x)
+    h = len(x) // 2
+    out = x * st
+    out[h:] += x[:h] * du
+    return out
 
 
 def _dual_norm(x):
@@ -118,7 +143,7 @@ def _dual_norm(x):
     st_sq = cross = 0.0
     for a, b in zip(x, x[k:]):
         st_sq += _sumsq(a)
-        cross += _redot(a, b)
+        cross += float(_redot(a, b))
     if st_sq != 0.0:
         st = math.sqrt(st_sq)
         return st, cross / st
@@ -131,15 +156,27 @@ def _norm_2r(x, axis=None):
 
 
 def _unit(x):
-    """Projection onto unit 2-norm: x times the reciprocal of its dual norm; a
-    pure-dual x becomes its dual part times 1/|dual part|, with zero dual part."""
-    st, du = _dual_norm(x)
-    if st != 0.0:
-        return _scale_dual(x, 1.0 / st, -du / (st * st))
+    """Projection onto unit 2-norm of a vector stacked as one (4, n) or (2, n)
+    array of parts: x times the reciprocal of its dual norm. Each part is
+    reduced along the last axis and the parts are summed in order, as
+    _dual_norm sums them. A pure-dual x becomes its dual part times
+    1/|dual part|, with zero dual part."""
+    h = len(x) // 2
+    # per standard part a and its dual part b, |a|^2 and Re<a, b>: the
+    # products of real and of imaginary components interleave in t
+    v = x.view(np.float64)
+    t = v[:h] * v.reshape(2, h, -1)
+    sq, cross = np.add.reduce(t[..., ::2] + t[..., 1::2], -1).tolist()
+    st_sq = sum(sq)
+    if st_sq != 0.0:
+        st = math.sqrt(st_sq)
+        return _scale_dual(x, 1.0 / st, -(sum(cross) / st) / (st * st))
+    du = math.sqrt(sum(_sumsq(x[h:], -1).tolist()))
     if du == 0.0:
         raise ZeroVector("cannot normalize the zero vector")
-    d = x[len(x) // 2:]
-    return (*[b * (1.0 / du) for b in d], *[np.zeros_like(b) for b in d])
+    out = np.zeros_like(x)
+    out[:h] = x[h:] * (1.0 / du)
+    return out
 
 
 def _unit_rows(x):
@@ -151,7 +188,7 @@ def _unit_rows(x):
     st_sq = cross = 0.0
     for a, b in zip(x, x[k:]):
         st_sq = st_sq + _sumsq(a, -1)
-        cross = cross + np.add.reduce(a.real * b.real + a.imag * b.imag, -1)
+        cross = cross + _redot(a, b, -1)
     st = np.sqrt(st_sq)
     du = cross / st
     return _scale_dual(x, (1.0 / st)[:, None], (-du / (st * st))[:, None])
@@ -427,7 +464,7 @@ class DualQuaternionVector:
 
     def unit(self) -> "DualQuaternionVector":
         """Projection onto unit 2-norm vectors (degenerate branch: zero dual part)."""
-        return DualQuaternionVector(*_unit(self._parts))
+        return DualQuaternionVector(*_unit(np.stack(self._parts)))
 
 
 class DualComplexMatrix:
@@ -595,7 +632,7 @@ class DualComplexVector:
         return float(_norm_2r(self._parts))
 
     def unit(self) -> "DualComplexVector":
-        return DualComplexVector(*_unit(self._parts))
+        return DualComplexVector(*_unit(np.stack(self._parts)))
 
 
 def random_unit_vector(n: int, rng: np.random.Generator) -> DualQuaternionVector:

@@ -1,19 +1,21 @@
 """Iterative eigensolvers.
 
-Every solver runs one power-iteration skeleton, _power, on raw complex
-ndarrays. It normalizes with the matrices kernel _unit, which serves both
-algebras, and takes the matvec, Rayleigh quotient and residual from one of
-two per-algebra tables:
+Every solver runs one power-iteration skeleton, _power, on one complex array
+per iterate: the parts of the vector stacked as the rows of a (2h, n) array,
+the standard part in the first h rows. The skeleton normalizes with the
+matrices kernel _unit and measures the residual |y - x(st + du eps)| with
+_residual; both serve either algebra through that layout. The matvec and the
+Rayleigh quotient come from one of two per-algebra tables:
 
-- _Quaternion iterates on the complex-pair components of a dual quaternion
-  vector with the product DualQuaternionMatrix uses. This is plain dual
-  quaternion arithmetic, the cost baseline of power_method_baseline and
-  power_method_spectrum.
-- _Adjoint iterates on the parts of a dual complex vector against the
-  adjoint matrix, built once by adjoint(). dcam_pm, adcam_pm and dcama_pm
-  run on it; adcam_pm adds the Aitken step, which extrapolates the last
-  three eigenvalue and eigenvector iterates once the raw residual passes a
-  trigger threshold.
+- _Quaternion iterates on the rows v1..v4 (h = 2), the complex-pair
+  components of a dual quaternion vector, with the dual quaternion product
+  _dq_mul of the matrices module. This is plain dual quaternion arithmetic,
+  the cost baseline of power_method_baseline and power_method_spectrum.
+- _Adjoint iterates on the rows st, du (h = 1) of a dual complex vector
+  against the adjoint matrix, built once by adjoint(). dcam_pm, adcam_pm
+  and dcama_pm run on it; adcam_pm adds the Aitken step, which extrapolates
+  the last three eigenvalue and eigenvector iterates once the raw residual
+  passes a trigger threshold.
 
 One deflation driver, _deflate, extracts all eigenpairs with either table:
 power_method_spectrum subtracts lam v v^* from Q, dcama_pm subtracts
@@ -44,6 +46,7 @@ from .matrices import (
     _dq_mul,
     _eig_residual,
     _norm_2r,
+    _scale_dual,
     _unit,
     random_unit_vector,
 )
@@ -117,29 +120,33 @@ def pair_residual(q: DualQuaternionMatrix, lam: DualNumber, v: DualQuaternionVec
 
 # -- per-algebra tables ---------------------------------------------------------
 #
-# The matvec and the normalization are the matrices kernels the objects' own
-# methods wrap, so the iterates match the object arithmetic bit for bit: the
-# Aitken step amplifies ulp-level differences in its three iterates by about
-# 1/(1 - r)^2 for a convergence ratio r. The Rayleigh quotient and the
-# residual feed no iterate of the loop and reduce with BLAS dot products,
-# which differ from numpy sums in summation order.
+# The adjoint matvec and the normalization are the matrices kernels the
+# objects' own methods wrap, so the adjoint iterates match the object
+# arithmetic bit for bit: the Aitken step amplifies ulp-level differences in
+# its three iterates by about 1/(1 - r)^2 for a convergence ratio r. That
+# holds on the stacked layout because _unit reduces each row along the last
+# axis and then sums the rows in order, as it would reduce the parts one by
+# one. The Rayleigh quotient and the residual feed no iterate of the loop and
+# reduce with BLAS dot products, which differ from numpy sums in summation
+# order. The dual quaternion table has no Aitken step, so it multiplies its
+# four rows as one batch and takes its Rayleigh quotient from one 4 x 4 Gram
+# product, which changes only the summation order.
 
 
-def _sq(a) -> float:
-    """Squared 2-norm of a complex array."""
-    return np.vdot(a, a).real
-
-
-def _hdot(x1, x2, y1, y2):
-    # sum over conj(x_i) y_i with x = x1 + x2 j, y = y1 + y2 j
-    a = complex(np.vdot(x1, y1)) + complex(np.vdot(x2, y2)).conjugate()
-    b = complex(np.vdot(x1, y2)) - complex(np.vdot(x2, y1)).conjugate()
-    return a, b
+def _residual(x, y, st, du) -> float:
+    """|y - x (st + du eps)| in the 2R norm, one BLAS dot per row."""
+    r = y - _scale_dual(x, st, du)
+    sq = 0.0
+    # rows by index: iterating the array would cost more than the dots at n=10
+    for i in range(len(r)):
+        a = r[i]
+        sq += np.vdot(a, a).real
+    return math.sqrt(sq)
 
 
 class _Quaternion:
-    """Dual quaternion arithmetic on x = (v1, v2, v3, v4): entry i of the
-    vector is (v1 + v2 j) + (v3 + v4 j) eps, as in DualQuaternionVector."""
+    """Dual quaternion arithmetic on the rows v1, v2, v3, v4 of x: entry i of
+    the vector is (v1 + v2 j) + (v3 + v4 j) eps, as in DualQuaternionVector."""
 
     def __init__(self, q: DualQuaternionMatrix):
         self.matrix = q
@@ -147,7 +154,7 @@ class _Quaternion:
 
     @staticmethod
     def enter(v: DualQuaternionVector):
-        return v._parts
+        return np.stack(v._parts)
 
     @staticmethod
     def leave(x) -> DualQuaternionVector:
@@ -159,27 +166,20 @@ class _Quaternion:
     @staticmethod
     def rayleigh(x, y):
         """Real parts (st, du) of x^* y and the largest dropped component."""
-        v1, v2, v3, v4 = x
-        s1, s2 = _hdot(v1, v2, y[0], y[1])
-        da1, da2 = _hdot(v1, v2, y[2], y[3])
-        db1, db2 = _hdot(v3, v4, y[0], y[1])
-        d1, d2 = da1 + db1, da2 + db2
+        # g[i][k] = <x_i, y_k>; with x = (v1 + v2 j) + (v3 + v4 j) eps,
+        # x^* y = (s1 + s2 j) + (d1 + d2 j) eps
+        (g00, g01, g02, g03), (g10, g11, g12, g13), (g20, g21, _, _), (g30, g31, _, _) = (
+            np.conj(x) @ y.T
+        ).tolist()
+        s1 = g00 + g11.conjugate()
+        s2 = g01 - g10.conjugate()
+        d1 = (g02 + g13.conjugate()) + (g20 + g31.conjugate())
+        d2 = (g03 - g12.conjugate()) + (g21 - g30.conjugate())
         dropped = max(
             abs(s1.imag), abs(s2.real), abs(s2.imag),
             abs(d1.imag), abs(d2.real), abs(d2.imag),
         )
         return s1.real, d1.real, dropped
-
-    @staticmethod
-    def residual(x, y, st, du):
-        """|y - x (st + du eps)| in the 2R norm."""
-        v1, v2, v3, v4 = x
-        return math.sqrt(
-            _sq(y[0] - v1 * st)
-            + _sq(y[1] - v2 * st)
-            + _sq(y[2] - (v3 * st + v1 * du))
-            + _sq(y[3] - (v4 * st + v2 * du))
-        )
 
     def deflated(self, x, lam: DualNumber) -> "_Quaternion":
         """Q - lam v v^*."""
@@ -188,8 +188,8 @@ class _Quaternion:
 
 
 class _Adjoint:
-    """Dual complex arithmetic on x = (st, du), the parts of a vector of
-    length 2n, against the 2n x 2n adjoint matrix P = P1 + P2 eps."""
+    """Dual complex arithmetic on the rows st, du of x, the parts of a vector
+    of length 2n, against the 2n x 2n adjoint matrix P = P1 + P2 eps."""
 
     def __init__(self, p: DualComplexMatrix):
         self.matrix = p
@@ -197,7 +197,7 @@ class _Adjoint:
 
     @staticmethod
     def enter(v: DualQuaternionVector):
-        return vec_map_f(v)._parts
+        return np.stack(vec_map_f(v)._parts)
 
     @staticmethod
     def leave(x) -> DualQuaternionVector:
@@ -209,14 +209,10 @@ class _Adjoint:
     @staticmethod
     def rayleigh(x, y):
         """Real parts (st, du) of x^* y and the larger dropped imaginary part."""
-        s = complex(np.vdot(x[0], y[0]))
-        d = complex(np.vdot(x[0], y[1])) + complex(np.vdot(x[1], y[0]))
+        x0, y0 = x[0], y[0]
+        s = complex(np.vdot(x0, y0))
+        d = complex(np.vdot(x0, y[1])) + complex(np.vdot(x[1], y0))
         return s.real, d.real, max(abs(s.imag), abs(d.imag))
-
-    @staticmethod
-    def residual(x, y, st, du):
-        """|y - x (st + du eps)| in the 2R norm."""
-        return math.sqrt(_sq(y[0] - x[0] * st) + _sq(y[1] - (x[1] * st + x[0] * du)))
 
     def deflated(self, x, lam: DualNumber) -> "_Adjoint":
         """P - lam (u u^* + Hu Hu^*), which removes both adjoint copies of lam."""
@@ -249,14 +245,12 @@ def _aitken_step(alg, hist, tol):
     sign-aligned first."""
     (xa, sa, da), (xb, sb, db), (xc, sc, dc) = hist
     sign = 1.0 if sc >= 0.0 else -1.0
-    w = tuple(
-        _aitken_complex(a, b * sign, c, AITKEN_GUARD) for a, b, c in zip(xa, xb, xc)
-    )
+    w = _aitken_complex(xa, xb * sign, xc, AITKEN_GUARD)
     kappa = DualNumber(*_aitken_real((sa, da), (sb, db), (sc, dc), AITKEN_GUARD).tolist())
     # cancellation collapse would shrink the standard part toward 0
     if _norm_2r(w[: len(w) // 2]) < 0.5:
         return None
-    res_w = alg.residual(w, alg.matvec(w), kappa.st, kappa.du)
+    res_w = _residual(w, alg.matvec(w), kappa.st, kappa.du)
     return (kappa, w, res_w) if res_w <= tol else None
 
 
@@ -275,7 +269,7 @@ def _power(alg, x, cfg: PowerIterConfig, aitken: bool = False):
     for k in range(1, cfg.max_iter + 1):
         y = alg.matvec(x)
         st, du, dropped = alg.rayleigh(x, y)
-        res = alg.residual(x, y, st, du)
+        res = _residual(x, y, st, du)
         lam = DualNumber(st, du)
         trace.record(lam, res, dropped)
         x = _unit(y)

@@ -28,6 +28,14 @@ class TestAdjointMap:
         assert np.allclose(m.st, [[0, 1j], [1j, 0]])
         assert not m.du.any()
 
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 5), (4, 2)])
+    def test_blocks_are_the_block_form_byte_for_byte(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for p in (rand_dq_matrix(*shape, rng), DualQuaternionMatrix.from_real(-np.ones(shape))):
+            m = adjoint(p)
+            for part, (a, b) in zip((m.st, m.du), ((p.a1, p.a2), (p.a3, p.a4))):
+                assert part.tobytes() == np.block([[a, b], [-b.conj(), a.conj()]]).tobytes()
+
     def test_multiplicative(self):
         rng = np.random.default_rng(21)
         for _ in range(50):

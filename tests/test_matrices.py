@@ -9,6 +9,7 @@ from dqeig.matrices import (
     DualQuaternionMatrix,
     DualQuaternionVector,
     _dq_dot,
+    _dq_mul,
     _unit,
     _unit_rows,
     random_unit_vector,
@@ -209,11 +210,24 @@ class TestUnitProjection:
     @pytest.mark.parametrize("n", [1, 10, 150])
     def test_stacked_rows_are_unit_bit_for_bit(self, n):
         rng = np.random.default_rng(n)
-        x = tuple(rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n)) for _ in range(4))
-        got = _unit_rows(x)
-        for k in range(6):
-            want = _unit(tuple(a[k] for a in x))
-            assert all(g[k].tobytes() == w.tobytes() for g, w in zip(got, want))
+        for parts in (4, 2):
+            x = tuple(rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
+                      for _ in range(parts))
+            got = _unit_rows(x)
+            for k in range(6):
+                want = _unit(np.stack([a[k] for a in x]))
+                assert all(g[k].tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (3, 7), (7, 2)])
+def test_stacked_vector_product_is_the_part_product(shape):
+    # the batched matrix @ vector case against the part-by-part product,
+    # which it matches up to summation order
+    rng = np.random.default_rng(shape)
+    a, v = rand_dq_matrix(*shape, rng), rand_dq_vector(shape[1], rng)
+    got = _dq_mul(a._parts, np.stack(v._parts))
+    assert got.shape == (4, shape[0])
+    assert np.abs(got - np.stack(_dq_mul(a._parts, v._parts))).max() <= 1e-14 * shape[1]
 
 
 def test_stacked_dot_is_one_dot_per_row():

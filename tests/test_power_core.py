@@ -13,7 +13,7 @@ import pytest
 
 from dqeig.bench import build_laplacian, random_graph, random_hermitian
 from dqeig.errors import InnerNoConvergence
-from dqeig.matrices import random_unit_vector
+from dqeig.matrices import DualQuaternionMatrix, DualQuaternionVector, random_unit_vector
 from dqeig.power import (
     PowerIterConfig,
     adcam_pm,
@@ -31,7 +31,9 @@ SPARSITIES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 # Hermitian matrices; on seed 2 both deflation drivers fail at pair 10
 LAPLACIANS = [("laplacian", s, 1e-10) for s in SPARSITIES]
 RANDOM = [("random", seed, 1e-8) for seed in range(3)]
-PROBLEMS = LAPLACIANS + RANDOM
+# the size and tolerance of the benchmark's dominant workload
+DOMINANT = [("dominant", 0, 1e-6)]
+PROBLEMS = LAPLACIANS + RANDOM + DOMINANT
 DRIVER_PROBLEMS = LAPLACIANS + RANDOM[2:]
 
 
@@ -43,7 +45,7 @@ def problem(kind, param, tol):
     if kind == "laplacian":
         q = build_laplacian(random_graph(10, param, [7, SPARSITIES.index(param)]))
     else:
-        q = random_hermitian(20, param)
+        q = random_hermitian(100 if kind == "dominant" else 20, param)
     return q, PowerIterConfig(max_iter=5000, tol=tol, aitken_trigger=1e-3, seed=1)
 
 
@@ -62,6 +64,8 @@ def assert_same_trace(got, want):
     bound = scale(lam_ref)
     assert np.all(np.abs(lam - lam_ref).max(axis=1) <= bound)
     assert np.all(np.abs(np.array(got.residuals) - np.array(want.residuals)) <= bound)
+    assert abs(got.dropped_imag - want.dropped_imag) <= bound.max()
+    assert got.imag_flag == want.imag_flag
 
 
 @pytest.mark.parametrize("kind,param,tol", PROBLEMS, ids=ids(PROBLEMS))
@@ -84,6 +88,35 @@ def test_single_pair_solver_follows_the_reference(kind, param, tol, solver, refe
     bound = TRACE_TOL * max(1.0, abs(lam_ref.st), abs(lam_ref.du))
     for a, b in zip((v.v1, v.v2, v.v3, v.v4), (v_ref.v1, v_ref.v2, v_ref.v3, v_ref.v4)):
         assert np.abs(a - b).max() <= bound
+
+
+# (nonzero components (a1, a2, a3, a4) of Q and of the start vector, seed),
+# one case for each of the six components of v^* Q v that the cast to a dual
+# number drops, chosen so that this component is the largest one in the trace
+DROPPED = {
+    "s1-imag": ((1, 0, 0, 0), 8),
+    "s2-real": ((1, 1, 0, 0), 8),
+    "s2-imag": ((1, 1, 0, 0), 2),
+    "d1-imag": ((1, 1, 1, 1), 0),
+    "d2-real": ((1, 1, 1, 1), 8),
+    "d2-imag": ((1, 1, 1, 1), 1),
+}
+
+
+@pytest.mark.parametrize("mask,seed", DROPPED.values(), ids=DROPPED.keys())
+def test_pm_drops_the_imaginary_components_the_reference_drops(mask, seed):
+    # on a non-Hermitian Q the dropped components are O(1)
+    rng = np.random.default_rng(seed)
+    mask = np.array(mask)
+    q = DualQuaternionMatrix(*(mask[:, None, None] * (
+        rng.standard_normal((4, 8, 8)) + 1j * rng.standard_normal((4, 8, 8)))))
+    v0 = DualQuaternionVector(*(mask[:, None] * (
+        rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))))).unit()
+    cfg = PowerIterConfig(max_iter=50, tol=1e-300)
+    _, _, trace = power_method_baseline(q, v0, cfg)
+    _, _, trace_ref = ref.power_method_baseline(q, v0, cfg)
+    assert trace_ref.imag_flag and trace_ref.dropped_imag > 0.1
+    assert_same_trace(trace, trace_ref)
 
 
 def spectrum(driver, q, cfg):
