@@ -48,7 +48,7 @@ def _block(a, b):
 
 def adjoint(q: DualQuaternionMatrix) -> DualComplexMatrix:
     """Dual complex adjoint matrix of a dual quaternion matrix."""
-    return DualComplexMatrix(_block(q.a1, q.a2), _block(q.a3, q.a4))
+    return DualComplexMatrix._wrap(_block(q.a1, q.a2), _block(q.a3, q.a4))
 
 
 def adjoint_block_deviation(m: DualComplexMatrix) -> float:

@@ -12,27 +12,26 @@ coupling is absorbed to first order by T with
 Then U_hat = U V (I + T*eps) is unitary and U_hat* P U_hat is the diagonal of
 dual numbers lam_i + mu_ij*eps.
 
-EDDCAM-EA applies this to the adjoint of a dual quaternion Hermitian matrix:
-every eigenvalue shows up there with doubled multiplicity, each group of
-adjoint eigenvectors maps back through F^-1, and Gram-Schmidt in dual
-quaternion arithmetic, run on the raw component arrays, strips the redundant
-half.
+EDDCAM-EA applies this to the adjoint of a dual quaternion Hermitian matrix,
+where every eigenvalue shows up with doubled multiplicity, and picks the
+eigenvectors on the adjoint side. A column u = F(v) of U_hat and its partner
+Hu = F(v j) are orthogonal, and their span under the dual complex inner
+product is the image under F of the quaternion line of v. So a group of
+adjoint multiplicity 2 is one eigenvector, which one stacked projection onto
+span{u, Hu} confirms for all such groups at once, and larger groups run one
+Gram-Schmidt over their (st, du) columns that keeps u and Hu of every vector
+it keeps. Only the kept vectors are mapped back with F^-1.
 
-Every stage is a stacked array operation rather than one per cluster, group
-or vector: clusters, groups and their means as arrays, one batched eigh per
-cluster block size, T in one masked division, F^-1 and the eigenvector check
-over all columns of U_hat at once. The returned vectors are the rows of one
-stacked (n, n) array per part: a group of adjoint multiplicity 2 gives its
-first candidate, and all of these are normalised at once; larger groups
-write their Gram-Schmidt survivors, which loops over the group's candidates.
-One pass then applies the canonical phase to every row, e_lambda comes from
-one residual product over the rows, and the DualQuaternionVector objects are
-read-only views of the rows, built once at the end. Every reduction over a
-vector runs along its row, in the order the per-vector kernels in
-dqeig.matrices use, so the results are bit for bit those of normalising and
-phasing each vector on its own.
+The other stages are stacked array operations on the arrays the decomposition
+hands over: one batched eigh per cluster block size, T in one masked division,
+one check of F^-1 of every column of U_hat, and the returned vectors as the
+rows of one (n, n) array per part, phased, checked for e_lambda and wrapped as
+read-only DualQuaternionVector views at once. Every reduction over a vector
+runs along its row in the order of the per-vector kernels in dqeig.matrices,
+so a group of multiplicity 2 gives bit for bit what they would give.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,35 +40,37 @@ from .adjoint import adjoint
 from .errors import ClusterInstability, NotAnEigenvector, NotHermitian
 from .hermitian_eig import _clusters, _run_means, _runs, eig_hermitian
 from .matrices import (
-    DualComplexMatrix,
-    DualQuaternionMatrix,
-    DualQuaternionVector,
-    _dq_mul,
-    _dual_norm,
-    _eig_residual,
-    _norm_2r,
-    _qmul,
-    _scale_dual,
-    _sumsq,
-    _unit_rows,
+    DualComplexMatrix, DualQuaternionMatrix, DualQuaternionVector, _dc_mul, _dq_mul,
+    _eig_residual, _norm_2r, _scale_dual, _sumsq, _unit_rows,
 )
 from .scalars import DualNumber
 
-__all__ = [
-    "DualEigenDecomposition",
-    "EigenResult",
-    "eig_dual_complex_hermitian",
-    "orthogonalize_eigenvectors",
-    "eddcam_ea",
-]
+__all__ = ["DualEigenDecomposition", "EigenResult", "eig_dual_complex_hermitian",
+           "orthogonalize_eigenvectors", "eddcam_ea"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualEigenDecomposition:
-    """Unitary dual complex U_hat and the diagonal sigma of dual numbers."""
+    """Unitary dual complex U_hat = u_st + u_du eps and the diagonal sigma of
+    dual numbers lam + mu eps, kept as read-only arrays; u_hat and sigma build
+    the objects when asked."""
 
-    u_hat: DualComplexMatrix
-    sigma: tuple
+    lam: np.ndarray
+    mu: np.ndarray
+    u_st: np.ndarray
+    u_du: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.lam, self.mu, self.u_st, self.u_du):
+            a.setflags(write=False)
+
+    @property
+    def u_hat(self) -> DualComplexMatrix:
+        return DualComplexMatrix._wrap(self.u_st, self.u_du)
+
+    @property
+    def sigma(self) -> tuple:
+        return tuple(map(DualNumber, self.lam.tolist(), self.mu.tolist()))
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,13 @@ class EigenResult:
         return [v for _, vecs in self.pairs for v in vecs]
 
 
+def _check_tol(**tols) -> None:
+    """ValueError unless every given tolerance is finite and positive."""
+    for name, value in tols.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def _check_hermitian(m) -> None:
     """NotHermitian unless the dual quaternion or dual complex matrix m is
     square and Hermitian within 1e-10 * max(1, its largest entry)."""
@@ -103,22 +111,18 @@ def _check_hermitian(m) -> None:
         raise NotHermitian("matrix is not Hermitian within 1e-10 of its largest entry")
 
 
-def eig_dual_complex_hermitian(
-    p: DualComplexMatrix, tol_group: float = 1e-8
-) -> DualEigenDecomposition:
+def eig_dual_complex_hermitian(p: DualComplexMatrix, tol_group=1e-8) -> DualEigenDecomposition:
     """Eigendecomposition of a dual complex Hermitian matrix."""
+    _check_tol(tol_group=tol_group)
     _check_hermitian(p)
-
     base = eig_hermitian(p.st)
     values, counts = _clusters(base.values, tol_group)
     scale = max(1.0, abs(values[0]), abs(values[-1])) if values.size else 1.0
     gaps = values[:-1] - values[1:]
     narrow = np.flatnonzero(gaps < 10.0 * tol_group * scale)
     if narrow.size:
-        raise ClusterInstability(
-            f"cluster gap {gaps[narrow[0]]:.3e} below 10*tol_group; "
-            "dual coupling entries would blow up"
-        )
+        raise ClusterInstability(f"cluster gap {gaps[narrow[0]]:.3e} below 10*tol_group; "
+                                 "dual coupling entries would blow up")
 
     u = base.vectors
     p2 = u.conj().T @ p.du @ u
@@ -144,9 +148,7 @@ def eig_dual_complex_hermitian(
     np.divide(q, lam - lam[:, None], out=t, where=cluster_id != cluster_id[:, None])
 
     u_st = u @ v
-    u_hat = DualComplexMatrix(u_st, u_st @ t)
-    sigma = tuple(map(DualNumber, lam.tolist(), mu.tolist()))
-    return DualEigenDecomposition(u_hat, sigma)
+    return DualEigenDecomposition(lam, mu, u_st, u_st @ t)
 
 
 def _check_eigenvectors(q: DualQuaternionMatrix, x, st, du) -> None:
@@ -163,72 +165,85 @@ def _check_eigenvectors(q: DualQuaternionMatrix, x, st, du) -> None:
 
 
 def _gram_schmidt(x, tol_rank: float):
-    """Classical Gram-Schmidt over the columns of x, a part tuple of n x k
-    dual quaternion arrays. Each column minus its projections onto all the
-    vectors kept so far, taken as one stacked product, is normalised and kept
-    unless the standard part of that remainder has norm at most
-    tol_rank * max(1, |column|_2R). Returns the kept vectors as the rows of a
-    part tuple of (kept, n) arrays.
+    """Classical Gram-Schmidt in dual complex arithmetic over the columns F(v)
+    of x, a (st, du) tuple of 2n x k arrays. Each column minus its projections
+    onto all the rows kept so far, taken as one stacked product, is kept
+    unless the standard part of that remainder w has norm at most
+    tol_rank * max(1, |column|_2R). v = F^-1(w) is normalised as _unit would,
+    and u = F(v) and F(v conj(j)) = -Hu are kept as rows: projecting onto both
+    is projecting onto the quaternion line of v. Returns the kept v as the
+    rows of a part tuple of (kept, n) dual quaternion arrays.
     """
-    n, k = x[0].shape
-    # |column|_2R of every column, the columns copied to rows so that each is
-    # reduced as _norm_2r reduces one vector
-    bounds = tol_rank * np.maximum(
-        1.0, _norm_2r(tuple(np.ascontiguousarray(a.T) for a in x), axis=-1)
-    )
-    # kept vectors as the columns of U (stored as rows) and the rows of U*
-    rows = [np.empty((k, n), dtype=np.complex128) for _ in x]
-    conj_rows = [np.empty((k, n), dtype=np.complex128) for _ in x]
+    m, k = x[0].shape
+    n = m // 2
+    # every column as one (2, 2n) row; as (4, n) its halves sit in the slots
+    # of the parts (v1, v2, v3, v4), v2 and v4 as -conj(v2) and -conj(v4)
+    cols = np.stack(x).transpose(2, 0, 1).copy()
+    bounds = tol_rank * np.maximum(1.0, _norm_2r(cols.reshape(k, 4, n).transpose(1, 0, 2), -1))
+    conj_cols = np.conj(cols)
+    kept = np.empty((2, 2 * k, m), dtype=np.complex128)
     r = 0
     for j in range(k):
-        v = w = tuple(a[:, j] for a in x)
+        w = cols[j]
         if r:
-            c = _dq_mul(tuple(a[:r] for a in conj_rows), v)
-            w = tuple(a - b for a, b in zip(v, _dq_mul(tuple(a[:r].T for a in rows), c)))
-        st, du = _dual_norm(w)
+            # w minus the kept rows K weighted by <K, w> = conj(K conj(w))
+            ks, kd = kept[0, : 2 * r], kept[1, : 2 * r]
+            c = np.conj(_dc_mul((ks, kd), conj_cols[j]))
+            w = w - _dc_mul((ks.T, kd.T), c)
+        # |standard part|^2 and Re<standard, dual> of each half, top half
+        # first, reduced along the row as _dual_norm reduces one vector
+        t = w.view(np.float64)
+        t = t[0] * t
+        sq, cross = np.add.reduce((t[:, ::2] + t[:, 1::2]).reshape(2, 2, n), -1).tolist()
+        st = math.sqrt(sum(sq))
         if st > bounds[j]:
-            # _unit(w), whose standard part is nonzero here
-            w = _scale_dual(w, 1.0 / st, -du / (st * st))
-            # (A + B j)* = conj(A)^T - B^T j, per part of the dual split
-            for row, conj_row, a, flip in zip(rows, conj_rows, w, (np.conj, np.negative) * 2):
-                row[r] = a
-                conj_row[r] = flip(a)
+            v = w.reshape(4, n)
+            np.negative(np.conj(v[1::2]), out=v[1::2])
+            v = _scale_dual(v, 1.0 / st, -(sum(cross) / st) / (st * st))
+            # u = (v1, -conj(v2); v3, -conj(v4)), -Hu = (v2, conj(v1); v4, conj(v3))
+            u, hu = kept[:, 2 * r].reshape(2, 2, n), kept[:, 2 * r + 1].reshape(2, 2, n)
+            u[:, 0], hu[:, 0] = v[0::2], v[1::2]
+            np.negative(np.conj(v[1::2]), out=u[:, 1])
+            np.conj(v[0::2], out=hu[:, 1])
             r += 1
-    return tuple(row[:r] for row in rows)
+    return tuple(kept[p, h : 2 * r : 2, :n].copy() for p in (0, 1) for h in (0, 1))
 
 
-def _redundant_second(x, y, tol_rank: float):
-    """Per column, whether Gram-Schmidt drops y after keeping x: the standard
-    part of y minus its projection onto the quaternion line of x's has norm at
-    most tol_rank * max(1, |y|_2R). x and y are part tuples of n x k arrays;
-    only the standard part of x is read.
+def _redundant_partner(x, y, tol_rank: float):
+    """Per row, whether Gram-Schmidt drops y after keeping x, on the adjoint
+    side: the standard part of y minus its projection onto span{x, Hx} has
+    norm at most tol_rank * max(1, |y|_2R). x is the standard part and y the
+    (st, du) tuple of (g, 2n) arrays whose rows are F-mapped vectors. The
+    Hx terms run on the halves, with Hx = (conj(x_bot), -conj(x_top)), and
+    are taken off the remainder in place.
     """
-    x1, x2, y1, y2 = x[0], x[1], y[0], y[1]
-    norm_sq = _sumsq(x1, 0) + _sumsq(x2, 0)
-    # <x, y> per column: the entrywise products conj(x_i) y_i, summed
-    c1, c2 = (c.sum(axis=0) / norm_sq for c in _qmul(np.conj(x1), -x2, y1, y2, np.multiply))
-    p1, p2 = _qmul(x1, x2, c1, c2, np.multiply)
-    rest = np.sqrt(_sumsq(y1 - p1, 0) + _sumsq(y2 - p2, 0))
-    return rest <= tol_rank * np.maximum(1.0, _norm_2r(y, axis=0))
+    n = x.shape[-1] // 2
+    xt, xb, yt, yb = x[:, :n], x[:, n:], y[0][:, :n], y[0][:, n:]
+    norm_sq = _sumsq(x, -1)[:, None]
+    a = np.add.reduce(np.conj(x) * y[0], -1)[:, None] / norm_sq
+    b = np.add.reduce(xb * yt - xt * yb, -1)[:, None] / norm_sq
+    rest = y[0] - x * a
+    rest[:, :n] -= np.conj(xb) * b
+    rest[:, n:] += np.conj(xt) * b
+    return np.sqrt(_sumsq(rest, -1)) <= tol_rank * np.maximum(1.0, _norm_2r(y, -1))
 
 
 def orthogonalize_eigenvectors(
-    vs,
-    q: DualQuaternionMatrix,
-    lam: DualNumber,
-    tol_rank: float = 1e-8,
+    vs, q: DualQuaternionMatrix, lam: DualNumber, tol_rank: float = 1e-8
 ):
-    """Gram-Schmidt over dual quaternion arithmetic for one eigenvalue.
+    """Gram-Schmidt for one eigenvalue, run on F of the candidates.
 
     Every input must already satisfy Q v = v lam to residual 1e-8 (checked).
     Candidates whose remainder has a standard-part norm at or below tol_rank
     are redundant and dropped; survivors are orthonormal eigenvectors.
     """
+    _check_tol(tol_rank=tol_rank)
     if not vs:
         return []
     x = tuple(np.stack(part, axis=1) for part in zip(*(v._parts for v in vs)))
     _check_eigenvectors(q, x, np.full(len(vs), lam.st), np.full(len(vs), lam.du))
-    return [DualQuaternionVector(*w) for w in zip(*_gram_schmidt(x, tol_rank))]
+    f = (np.concatenate([x[0], -x[1].conj()]), np.concatenate([x[2], -x[3].conj()]))
+    return [DualQuaternionVector(*w) for w in zip(*_gram_schmidt(f, tol_rank))]
 
 
 # DualQuaternion.conj on quaternion components (w, x, y, z)
@@ -236,7 +251,7 @@ _CONJ = np.array([1.0, -1.0, -1.0, -1.0])[:, None]
 
 
 def _canonical_phase(x):
-    """Right-scale each row of x, a part tuple of (k, n) arrays of unit
+    """Right-scale each row of x, the four (k, n) parts of k unit
     vectors, by the unit dual quaternion conj(e)/|e| of its entry e with the
     largest standard-part modulus, which makes that entry a nonnegative dual
     number. Makes eigenvectors reproducible across runs; the eigenpair
@@ -264,36 +279,32 @@ def _canonical_phase(x):
 
 
 def eddcam_ea(
-    q: DualQuaternionMatrix,
-    tol_group: float = 1e-8,
-    tol_rank: float = 1e-8,
+    q: DualQuaternionMatrix, tol_group: float = 1e-8, tol_rank: float = 1e-8
 ) -> EigenResult:
     """All eigenpairs of a dual quaternion Hermitian matrix, directly.
 
     Pipeline: adjoint -> dual complex eigendecomposition -> group the
-    adjoint eigenvector columns by equal dual-number eigenvalues -> map each
-    column back with F^-1 -> orthogonalize within each group. Each group of
-    adjoint multiplicity t yields exactly t/2 eigenvectors.
+    adjoint eigenvector columns by equal dual-number eigenvalues -> check F^-1
+    of every column -> orthogonalize each group on the adjoint side. Each
+    group of adjoint multiplicity t yields exactly t/2 eigenvectors.
     """
+    _check_tol(tol_group=tol_group, tol_rank=tol_rank)
     _check_hermitian(q)
     n = q.rows
     if n == 0:
         return EigenResult((), 0.0)
 
     dec = eig_dual_complex_hermitian(adjoint(q), tol_group)
-    st, du = np.array([(s.st, s.du) for s in dec.sigma]).T
-    st_scale = max(1.0, float(np.abs(st).max()))
-    du_scale = max(1.0, float(np.abs(du).max()))
+    st, du, s, d = dec.lam, dec.mu, dec.u_st, dec.u_du
 
     # consecutive grouping: sigma is sorted descending in the dual order
-    cut = (np.abs(np.diff(st)) > tol_group * st_scale) | (
-        np.abs(np.diff(du)) > tol_group * du_scale
-    )
+    cut = np.zeros(len(st) - 1, dtype=bool)
+    for a in (st, du):
+        cut |= np.abs(a[1:] - a[:-1]) > tol_group * max(1.0, float(np.abs(a).max()))
     starts, sizes = _runs(cut)
     lam_st, lam_du = _run_means(st, starts, sizes), _run_means(du, starts, sizes)
 
     # F^-1 of every column of U_hat at once, and every candidate checked
-    s, d = dec.u_hat.st, dec.u_hat.du
     cand = (s[:n], -s[n:].conj(), d[:n], -d[n:].conj())
     _check_eigenvectors(q, cand, np.repeat(lam_st, sizes), np.repeat(lam_du, sizes))
 
@@ -305,42 +316,31 @@ def eddcam_ea(
     # check below then rejects.
     twos = np.flatnonzero(sizes == 2)
     first = starts[twos]
-    redundant = _redundant_second(
-        tuple(a[:, first] for a in cand[:2]), tuple(a[:, first + 1] for a in cand), tol_rank
-    )
+    redundant = _redundant_partner(s.T[first], (s.T[first + 1], d.T[first + 1]), tol_rank)
     shortcut = np.zeros(len(starts), dtype=bool)
     shortcut[twos[redundant]] = True
-    kept = {
-        g: _gram_schmidt(tuple(c[:, a : a + k] for c in cand), tol_rank)
-        for g, a, k in zip(np.flatnonzero(~shortcut), starts[~shortcut], sizes[~shortcut])
-    }
+    gs = np.flatnonzero(~shortcut)
+    kept = [_gram_schmidt((s[:, a : a + k], d[:, a : a + k]), tol_rank)
+            for a, k in zip(starts[gs], sizes[gs])]
     counts = np.ones(len(starts), dtype=int)
-    for g, rows in kept.items():
-        counts[g] = len(rows[0])
-    total = int(counts.sum())
-    if total != n:
-        raise ClusterInstability(
-            f"recovered {total} eigenvectors for dimension {n}; "
-            "eigenvalue grouping is unstable at this tolerance"
-        )
+    counts[gs] = [len(rows[0]) for rows in kept]
+    if counts.sum() != n:
+        raise ClusterInstability(f"recovered {counts.sum()} eigenvectors for dimension {n}; "
+                                 "eigenvalue grouping is unstable at this tolerance")
 
-    # every returned vector as a row of one stacked (n, n) array per part
+    # every returned vector as a row of one (4, n, n) array of parts
     offsets = np.cumsum(counts) - counts
-    x = [np.empty((n, n), dtype=np.complex128) for _ in cand]
-    for a, u in zip(x, _unit_rows(tuple(c.T[starts[shortcut]] for c in cand))):
-        a[offsets[shortcut]] = u
-    for g, rows in kept.items():
-        for a, u in zip(x, rows):
-            a[offsets[g] : offsets[g] + len(u)] = u
+    x = np.empty((4, n, n), dtype=np.complex128)
+    x[:, offsets[shortcut]] = _unit_rows(tuple(c.T[starts[shortcut]] for c in cand))
+    for o, rows in zip(offsets[gs], kept):
+        x[:, o : o + len(rows[0])] = rows
     x = _canonical_phase(x)
     for a in x:
         a.setflags(write=False)
 
     # e_lambda from one residual product over the returned vectors
-    res = _eig_residual(
-        q._parts, tuple(a.T for a in x), np.repeat(lam_st, counts),
-        np.repeat(lam_du, counts), axis=0,
-    )
+    lam = np.repeat(lam_st, counts), np.repeat(lam_du, counts)
+    res = _eig_residual(q._parts, tuple(a.T for a in x), *lam, axis=0)
     vecs = [DualQuaternionVector._wrap(*parts) for parts in zip(*x)]
     pairs = tuple(
         (DualNumber(a, b), tuple(vecs[o : o + k]))

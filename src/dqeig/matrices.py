@@ -76,7 +76,7 @@ def _qmul(a1, a2, b1, b2, mul):
 
 # (A1 + A2 j)(B1 + B2 j) = (A1 B1 + A2 W1) + (A1 B2 + A2 W2) j with
 # (W1, W2) = (-conj(B2), conj(B1)); W of all four parts in one gather
-_J_SWAP = [1, 0, 3, 2]
+_J_SWAP = np.array([1, 0, 3, 2], dtype=np.intp)
 _J_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])[:, None]
 
 
@@ -195,9 +195,13 @@ def _unit_rows(x):
 
 
 def _eig_residual(a, x, st, du, axis=None):
-    """|A x - x (st + du eps)| in the 2R norm; per column with axis=0."""
+    """|A x - x (st + du eps)| in the 2R norm; per column with axis=0. x is a
+    part tuple, scaled one part at a time in _scale_dual's order, so that no
+    stacked copy of x is made."""
     y = _dq_mul(a, x)
-    return _norm_2r(tuple(p - r for p, r in zip(y, _scale_dual(x, st, du))), axis)
+    h = len(x) // 2
+    scaled = [b * st for b in x[:h]] + [b * st + c * du for b, c in zip(x[h:], x)]
+    return _norm_2r([p - r for p, r in zip(y, scaled)], axis)
 
 
 class DualQuaternionMatrix:
@@ -318,8 +322,15 @@ class DualQuaternionMatrix:
         )
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
-        h = self.conj_transpose()
-        return self.max_abs_diff(h) <= tol
+        """Whether every entry of Q - Q* is at most tol in modulus, compared
+        part by part: |A1 - A1^*|, |A2 + A2^T|, |A3 - A3^*|, |A4 + A4^T|."""
+        a1, a2, a3, a4 = self._parts
+        return max(
+            np.abs(a1 - a1.conj().T).max(initial=0.0),
+            np.abs(a2 + a2.T).max(initial=0.0),
+            np.abs(a3 - a3.conj().T).max(initial=0.0),
+            np.abs(a4 + a4.T).max(initial=0.0),
+        ) <= tol
 
     def max_abs_diff(self, other) -> float:
         return max(
@@ -478,6 +489,17 @@ class DualComplexMatrix:
         if st.shape != du.shape:
             raise DimensionMismatch("parts must share one shape")
         self.st, self.du = _freeze(st, du)
+
+    @classmethod
+    def _wrap(cls, st, du) -> "DualComplexMatrix":
+        """Wrap two freshly built complex 2-d arrays of one shape without
+        copying them; they are made read-only and must not be written to
+        afterwards through any other name."""
+        st.setflags(write=False)
+        du.setflags(write=False)
+        m = cls.__new__(cls)
+        m.st, m.du = st, du
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "DualComplexMatrix":

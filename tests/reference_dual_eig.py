@@ -8,6 +8,11 @@ adjoint column back with its own F^-1, and runs Gram-Schmidt, the canonical
 phase and the residuals on the immutable DualQuaternionVector objects, one
 vector and one projection at a time. tests/test_dual_eig_core.py states how
 close the stacked version must come to it.
+
+gram_schmidt and redundant_second are the array kernels that picked the
+eigenvectors in 4-part dual quaternion arithmetic before the selection moved
+to the adjoint side; they are kept as references for the adjoint-side
+Gram-Schmidt and partner check.
 """
 
 import numpy as np
@@ -16,7 +21,7 @@ from dqeig.adjoint import adjoint, vec_map_f_inverse
 from dqeig.dual_eig import DualEigenDecomposition, EigenResult, _check_hermitian
 from dqeig.errors import ClusterInstability, NotAnEigenvector
 from dqeig.hermitian_eig import eig_hermitian
-from dqeig.matrices import DualComplexMatrix
+from dqeig.matrices import _dq_mul, _dual_norm, _norm_2r, _qmul, _scale_dual, _sumsq
 from dqeig.scalars import DualNumber
 
 
@@ -66,12 +71,8 @@ def eig_dual_complex_hermitian(p, tol_group=1e-8):
                 t[ai:bi, aj:bj] = q[ai:bi, aj:bj] / (lam_j - lam_i)
 
     u_st = u @ v
-    sigma = tuple(
-        DualNumber(lam, float(mu))
-        for (lam, _), cluster_mus in zip(clusters, mus)
-        for mu in cluster_mus
-    )
-    return DualEigenDecomposition(DualComplexMatrix(u_st, u_st @ t), sigma)
+    lam = np.array([lam for lam, count in clusters for _ in range(count)])
+    return DualEigenDecomposition(lam, np.concatenate(mus), u_st, u_st @ t)
 
 
 def _canonical_phase(v):
@@ -96,6 +97,53 @@ def orthogonalize_eigenvectors(vs, q, lam, tol_rank=1e-8):
         if nrm.st > tol_rank * max(1.0, v.norm_2r()):
             out.append(w.scale_right(nrm.reciprocal()))
     return out
+
+
+def gram_schmidt(x, tol_rank=1e-8):
+    """Classical Gram-Schmidt over the columns of x, a part tuple of n x k
+    dual quaternion arrays, in 4-part dual quaternion arithmetic. Each column
+    minus its projections onto all the vectors kept so far, taken as one
+    stacked product, is normalised and kept unless the standard part of that
+    remainder has norm at most tol_rank * max(1, |column|_2R). Returns the
+    kept vectors as the rows of a part tuple of (kept, n) arrays.
+    """
+    n, k = x[0].shape
+    bounds = tol_rank * np.maximum(
+        1.0, _norm_2r(tuple(np.ascontiguousarray(a.T) for a in x), axis=-1)
+    )
+    # kept vectors as the columns of U (stored as rows) and the rows of U*
+    rows = [np.empty((k, n), dtype=np.complex128) for _ in x]
+    conj_rows = [np.empty((k, n), dtype=np.complex128) for _ in x]
+    r = 0
+    for j in range(k):
+        v = w = tuple(a[:, j] for a in x)
+        if r:
+            c = _dq_mul(tuple(a[:r] for a in conj_rows), v)
+            w = tuple(a - b for a, b in zip(v, _dq_mul(tuple(a[:r].T for a in rows), c)))
+        st, du = _dual_norm(w)
+        if st > bounds[j]:
+            w = _scale_dual(w, 1.0 / st, -du / (st * st))
+            # (A + B j)* = conj(A)^T - B^T j, per part of the dual split
+            for row, conj_row, a, flip in zip(rows, conj_rows, w, (np.conj, np.negative) * 2):
+                row[r] = a
+                conj_row[r] = flip(a)
+            r += 1
+    return tuple(row[:r] for row in rows)
+
+
+def redundant_second(x, y, tol_rank=1e-8):
+    """Per column, whether Gram-Schmidt drops y after keeping x: the standard
+    part of y minus its projection onto the quaternion line of x's has norm at
+    most tol_rank * max(1, |y|_2R). x and y are part tuples of n x k dual
+    quaternion arrays; only the standard part of x is read.
+    """
+    x1, x2, y1, y2 = x[0], x[1], y[0], y[1]
+    norm_sq = _sumsq(x1, 0) + _sumsq(x2, 0)
+    # <x, y> per column: the entrywise products conj(x_i) y_i, summed
+    c1, c2 = (c.sum(axis=0) / norm_sq for c in _qmul(np.conj(x1), -x2, y1, y2, np.multiply))
+    p1, p2 = _qmul(x1, x2, c1, c2, np.multiply)
+    rest = np.sqrt(_sumsq(y1 - p1, 0) + _sumsq(y2 - p2, 0))
+    return rest <= tol_rank * np.maximum(1.0, _norm_2r(y, axis=0))
 
 
 def e_lambda(q, pairs):

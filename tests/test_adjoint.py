@@ -36,6 +36,13 @@ class TestAdjointMap:
             for part, (a, b) in zip((m.st, m.du), ((p.a1, p.a2), (p.a3, p.a4))):
                 assert part.tobytes() == np.block([[a, b], [-b.conj(), a.conj()]]).tobytes()
 
+    def test_adjoint_is_read_only(self):
+        m = adjoint(rand_dq_matrix(3, 3, np.random.default_rng(8)))
+        for part in m._parts:
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0, 0] = 1.0
+
     def test_multiplicative(self):
         rng = np.random.default_rng(21)
         for _ in range(50):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -297,3 +299,48 @@ def test_eddcam_gives_the_closed_form_laplacian_spectrum(n, s, graphs):
         tol = 1e-14 * max(1.0, want[0])
         assert np.abs(np.array([lam.st for lam in got]) - want).max() <= tol
         assert np.abs(np.array([lam.du for lam in got])).max() <= tol
+
+
+BAD_TOLERANCES = (float("nan"), float("inf"), 0.0, -1.0)
+
+
+def formation_laplacian():
+    return build_laplacian(random_graph(10, 0.1, [7, 100, 0]))
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+@pytest.mark.parametrize("name", ["tol_group", "tol_rank"])
+def test_eddcam_rejects_a_bad_tolerance_before_any_work(name, tol):
+    # unchecked, nan runs the whole solve into NotAnEigenvector, 0 and -1 end
+    # in ClusterInstability with a divide warning, tol_rank=nan in "recovered 0"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=name):
+            eddcam_ea(formation_laplacian(), **{name: tol})
+        # first, before the Hermitian gate
+        bad = DualQuaternionMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=name):
+            eddcam_ea(bad, **{name: tol})
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_decomposition_and_gram_schmidt_reject_a_bad_tolerance(tol):
+    q = formation_laplacian()
+    with pytest.raises(ValueError, match="tol_group"):
+        eig_dual_complex_hermitian(adjoint(q), tol_group=tol)
+    lam, vecs = eddcam_ea(q).pairs[0]
+    with pytest.raises(ValueError, match="tol_rank"):
+        orthogonalize_eigenvectors(list(vecs), q, lam, tol_rank=tol)
+    with pytest.raises(ValueError, match="tol_rank"):
+        orthogonalize_eigenvectors([], q, lam, tol_rank=tol)
+
+
+def test_decomposition_holds_read_only_arrays():
+    p = adjoint(formation_laplacian())
+    dec = eig_dual_complex_hermitian(p)
+    for a in (dec.lam, dec.mu, dec.u_st, dec.u_du):
+        assert not a.flags.writeable
+    u = dec.u_hat
+    assert np.shares_memory(u.st, dec.u_st) and np.shares_memory(u.du, dec.u_du)
+    assert [(s.st, s.du) for s in dec.sigma] == list(zip(dec.lam.tolist(), dec.mu.tolist()))
+    assert_decomposition_valid(p, dec)

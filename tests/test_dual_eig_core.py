@@ -7,10 +7,13 @@ with one F^-1 per column, the object Gram-Schmidt and object residuals.
 The stacked version runs the same arithmetic up to Gram-Schmidt, so sigma,
 U_hat, the eigenvalues and the group sizes must be bit-identical, and so must
 the eigenvectors of groups of adjoint multiplicity 2, where no projection is
-taken. In larger groups the projections onto the kept vectors run as one
-stacked product, which sums in another order: there the eigenvectors must
-span the reference eigenspace and be orthonormal to 1e-13. e_lambda is one
-stacked residual product and must agree to 1e-15 * max(1, |Q|_F).
+taken. Larger groups run Gram-Schmidt on the adjoint side, in dual complex
+arithmetic with one stacked product per candidate, which sums in another
+order: there the eigenvectors must span the reference eigenspace and be
+orthonormal to 1e-13, against the object Gram-Schmidt and against the 4-part
+array kernel the reference keeps, whose first kept vector they reproduce bit
+for bit. e_lambda is one stacked residual product and must agree to
+1e-15 * max(1, |Q|_F).
 """
 
 import numpy as np
@@ -67,6 +70,17 @@ def stacked(vecs):
 
 def conj_t(x):
     return (x[0].conj().T, -x[1].T, x[2].conj().T, -x[3].T)
+
+
+def f_map(x):
+    """F of every column of a part tuple of n x k dual quaternion arrays."""
+    return np.concatenate([x[0], -x[1].conj()]), np.concatenate([x[2], -x[3].conj()])
+
+
+def f_inverse(x):
+    """F^-1 of every column of a (st, du) tuple of 2n x k arrays."""
+    n = len(x[0]) // 2
+    return x[0][:n], -x[0][n:].conj(), x[1][:n], -x[1][n:].conj()
 
 
 def max_abs(parts):
@@ -159,8 +173,43 @@ def test_a_second_candidate_is_redundant_only_on_the_line_of_the_first():
     q = pentagon_fixture()
     (_, (v,)), (_, (w,)) = dual_eig.eddcam_ea(q).pairs[:2]
     j = DualQuaternion(Quaternion(0.0, 0.0, 1.0, 0.0), Quaternion())
-    redundant = dual_eig._redundant_second(stacked([v, v]), stacked([v.scale_right(j), w]), 1e-8)
-    assert redundant.tolist() == [True, False]
+    x, y = stacked([v, v]), stacked([v.scale_right(j), w])
+    redundant = dual_eig._redundant_partner(f_map(x)[0].T, tuple(a.T for a in f_map(y)), 1e-8)
+    assert redundant.tolist() == ref.redundant_second(x, y).tolist() == [True, False]
+
+
+def large_groups():
+    """(name, adjoint (st, du) columns) of every group of more than 2 columns."""
+    named = [("laplacian-n200-0.005", build_laplacian(random_graph(200, 0.005, [7, 5, 0])))]
+    named += [(name, q) for name, q in PROBLEMS if name.startswith("laplacian-n60")]
+    for name, q in named:
+        dec = dual_eig.eig_dual_complex_hermitian(adjoint(q))
+        for a, b in ref.groups(dec.sigma):
+            if b - a > 2:
+                yield f"{name}-columns-{a}-{b}", (dec.u_st[:, a:b], dec.u_du[:, a:b])
+
+
+LARGE_GROUPS = list(large_groups())
+
+
+def test_large_groups_include_the_zero_group_of_a_sparse_n200_laplacian():
+    assert max(len(x[0][0]) for name, x in LARGE_GROUPS if "n200" in name) == 202
+    assert sum(name.startswith("laplacian-n60") for name, _ in LARGE_GROUPS) >= 2
+
+
+@pytest.mark.parametrize("name,x", LARGE_GROUPS, ids=[name for name, _ in LARGE_GROUPS])
+def test_adjoint_gram_schmidt_spans_the_dual_quaternion_reference(name, x):
+    got_rows, want_rows = dual_eig._gram_schmidt(x, 1e-8), ref.gram_schmidt(f_inverse(x))
+    # the first kept vector is normalised as _unit normalises it
+    assert [a[0].tobytes() for a in got_rows] == [a[0].tobytes() for a in want_rows]
+    got, want = tuple(a.T for a in got_rows), tuple(a.T for a in want_rows)
+    assert got[0].shape == want[0].shape
+    projector = _dq_mul(got, conj_t(got))
+    ref_projector = _dq_mul(want, conj_t(want))
+    assert max_abs([a - b for a, b in zip(projector, ref_projector)]) <= 1e-13
+    gram = _dq_mul(conj_t(got), got)
+    eye = np.eye(len(got[0][0]))
+    assert max_abs([gram[0] - eye, *gram[1:]]) <= 1e-13
 
 
 def outcome(solve, q, **kwargs):

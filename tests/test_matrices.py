@@ -5,11 +5,15 @@ import pytest
 
 from dqeig.errors import DimensionMismatch, ZeroVector
 from dqeig.matrices import (
+    DualComplexMatrix,
     DualComplexVector,
     DualQuaternionMatrix,
     DualQuaternionVector,
     _dq_dot,
     _dq_mul,
+    _eig_residual,
+    _norm_2r,
+    _scale_dual,
     _unit,
     _unit_rows,
     random_unit_vector,
@@ -230,6 +234,19 @@ def test_stacked_vector_product_is_the_part_product(shape):
     assert np.abs(got - np.stack(_dq_mul(a._parts, v._parts))).max() <= 1e-14 * shape[1]
 
 
+def test_eig_residual_scales_part_by_part_as_scale_dual_does():
+    # per column (axis=0) and for one vector, bit for bit the residual of the
+    # stacked scaling, which copies the parts into one array
+    rng = np.random.default_rng(17)
+    a = rand_dq_matrix(6, 6, rng)
+    x = rand_dq_matrix(6, 9, rng)._parts
+    st, du = rng.standard_normal(9), rng.standard_normal(9)
+    for args, axis in (((x, st, du), 0), ((tuple(p[:, 0] for p in x), 0.7, -1.3), None)):
+        y = _dq_mul(a._parts, args[0])
+        want = _norm_2r(tuple(p - r for p, r in zip(y, _scale_dual(*args))), axis)
+        assert np.asarray(_eig_residual(a._parts, *args, axis=axis)).tobytes() == np.asarray(want).tobytes()
+
+
 def test_stacked_dot_is_one_dot_per_row():
     rng = np.random.default_rng(14)
     x = rand_dq_vector(150, rng)
@@ -245,6 +262,28 @@ def test_wrapped_vector_shares_its_rows():
     v = DualQuaternionVector._wrap(rows[0], rows[1], rows[0], rows[1])
     assert np.shares_memory(v.v1, rows) and not v.v1.flags.writeable
     assert (v - DualQuaternionVector(rows[0], rows[1], rows[0], rows[1])).norm_2r() == 0.0
+
+
+def test_wrapped_dual_complex_matrix_is_read_only_and_shares_its_arrays():
+    rng = np.random.default_rng(5)
+    st, du = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+    m = DualComplexMatrix._wrap(st, du)
+    assert np.shares_memory(m.st, st) and np.shares_memory(m.du, du)
+    for a in m._parts:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_is_hermitian_compares_the_entries_of_q_minus_q_star(seed):
+    # the gate compares the parts directly; the numbers are those of Q - Q*
+    rng = np.random.default_rng(seed)
+    for q in (rand_dq_matrix(5, 5, rng), rand_hermitian(5, rng)):
+        q = q + q.conj_transpose() * 0.5 if seed % 2 else q
+        dev = q.max_abs_diff(q.conj_transpose())
+        assert q.is_hermitian(dev)
+        assert q.is_hermitian(np.nextafter(dev, 0.0)) == (dev == 0.0)
 
 
 def test_hermitian_quadratic_form_is_dual_number():
