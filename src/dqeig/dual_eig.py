@@ -26,9 +26,9 @@ The other stages are stacked array operations on the arrays the decomposition
 hands over: one batched eigh per cluster block size, T in one masked division,
 one check of F^-1 of every column of U_hat, and the returned vectors as the
 rows of one (n, n) array per part, phased, checked for e_lambda and wrapped as
-read-only DualQuaternionVector views at once. Every reduction over a vector
-runs along its row in the order of the per-vector kernels in dqeig.matrices,
-so a group of multiplicity 2 gives bit for bit what they would give.
+read-only DualQuaternionVector views at once. Every normalization takes the
+two BLAS dots of the per-vector kernels in dqeig.matrices, so a group of
+multiplicity 2 gives bit for bit what they would give.
 """
 
 import math
@@ -41,7 +41,7 @@ from .errors import ClusterInstability, NotAnEigenvector, NotHermitian
 from .hermitian_eig import _clusters, _run_means, _runs, eig_hermitian
 from .matrices import (
     DualComplexMatrix, DualQuaternionMatrix, DualQuaternionVector, _dc_mul, _dq_mul,
-    _eig_residual, _norm_2r, _scale_dual, _sumsq, _unit_rows,
+    _dual_norm, _eig_residual, _norm_2r, _scale_dual, _sumsq, _unit_rows,
 )
 from .scalars import DualNumber
 
@@ -190,16 +190,14 @@ def _gram_schmidt(x, tol_rank: float):
             ks, kd = kept[0, : 2 * r], kept[1, : 2 * r]
             c = np.conj(_dc_mul((ks, kd), conj_cols[j]))
             w = w - _dc_mul((ks.T, kd.T), c)
-        # |standard part|^2 and Re<standard, dual> of each half, top half
-        # first, reduced along the row as _dual_norm reduces one vector
-        t = w.view(np.float64)
-        t = t[0] * t
-        sq, cross = np.add.reduce((t[:, ::2] + t[:, 1::2]).reshape(2, 2, n), -1).tolist()
-        st = math.sqrt(sum(sq))
+        # the dual norm of v: the halves of w's rows hold v1, v2 (v3, v4) up
+        # to conjugation and sign, which leave the real parts of the products
+        # _dual_norm sums as they are
+        st, du = _dual_norm(w)
         if st > bounds[j]:
             v = w.reshape(4, n)
             np.negative(np.conj(v[1::2]), out=v[1::2])
-            v = _scale_dual(v, 1.0 / st, -(sum(cross) / st) / (st * st))
+            v = _scale_dual(v, 1.0 / st, -du / (st * st))
             # u = (v1, -conj(v2); v3, -conj(v4)), -Hu = (v2, conj(v1); v4, conj(v3))
             u, hu = kept[:, 2 * r].reshape(2, 2, n), kept[:, 2 * r + 1].reshape(2, 2, n)
             u[:, 0], hu[:, 0] = v[0::2], v[1::2]

@@ -15,9 +15,15 @@ the parts (st, du), so the first half of the parts is the standard part and
 the second half the dual part. The parts are a tuple of arrays, or one array
 that stacks them along its first axis: the power loops keep each vector as
 one (4, n) or (2, n) array, and the dual-number scaling, the normalization
-and the dual complex product take and return that layout. The object methods
-are thin wrappers over these kernels, and the solvers' hot paths call them on
-bare arrays.
+and both products take and return that layout. The object methods are thin
+wrappers over these kernels, and the solvers' hot paths call them on bare
+arrays.
+
+The dual norm |x| = st + du eps has st^2 = |s|^2 and st du = Re<s, d> for
+the standard half s and the dual half d of the parts, each flattened into one
+vector in part order. Every normalization reduces these two numbers with one
+BLAS dot each (np.vdot, or the batched matmul that runs the same dot per
+row), so a vector normalized by any of them comes out bit for bit alike.
 """
 
 import math
@@ -55,8 +61,7 @@ def _freeze(*arrays):
 # -- kernels on raw parts --------------------------------------------------------
 
 
-# np.add.reduce(a, axis) is a.sum(axis) without the Python-level wrapper; these
-# run on short vectors in every power iteration
+# np.add.reduce(a, axis) is a.sum(axis) without the Python-level wrapper
 
 
 def _sumsq(a, axis=None):
@@ -64,31 +69,41 @@ def _sumsq(a, axis=None):
     return np.add.reduce(re * re + im * im, axis)
 
 
-def _redot(a, b, axis=None):
-    """Real part of <a, b>, i.e. sc(tr(A* B)) summed over entries."""
-    return np.add.reduce(a.real * b.real + a.imag * b.imag, axis)
-
-
 def _qmul(a1, a2, b1, b2, mul):
     # (A1 + A2 j)(B1 + B2 j)
     return mul(a1, b1) - mul(a2, np.conj(b2)), mul(a1, b2) + mul(a2, np.conj(b1))
 
 
-# (A1 + A2 j)(B1 + B2 j) = (A1 B1 + A2 W1) + (A1 B2 + A2 W2) j with
-# (W1, W2) = (-conj(B2), conj(B1)); W of all four parts in one gather
+# Transposed, (A1 + A2 j) v = (A1 v1 + A2 w1) + (A1 v2 + A2 w2) j with
+# (w1, w2) = (-conj(v2), conj(v1)). So the rows (v1, v2, v3, v4) of a stacked
+# vector, side by side with their w rows, times [A1^T; A2^T] give all four
+# rows of A_st v, and the standard rows times [A3^T; A4^T] add A_du v_st to
+# the dual rows. w of all four rows is one gather.
 _J_SWAP = np.array([1, 0, 3, 2], dtype=np.intp)
 _J_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])[:, None]
+
+
+def _dq_stack(a):
+    """The parts of a dual quaternion matrix as the two arrays [A1^T; A2^T]
+    and [A3^T; A4^T], each of shape (2 cols, rows), that _dq_mul multiplies
+    a stacked vector by."""
+    return np.concatenate((a[0].T, a[1].T)), np.concatenate((a[2].T, a[3].T))
 
 
 def _dq_mul(a, b, mul=np.matmul):
     """Dual quaternion product a b: matrix @ matrix or matrix @ vector, or with
     mul=np.multiply an array right-multiplied entrywise by a scalar. A vector
-    stacked as one (4, n) array is multiplied as a batch, in 4 matrix
-    products on its rows, and comes back stacked."""
+    stacked as one (4, n) array is multiplied as a batch and comes back
+    stacked: a may then also be the pair _dq_stack(a) made once per matrix,
+    and the product is two matrix products on the buffer [v | w]."""
     if isinstance(b, np.ndarray):
-        w = np.conj(b[_J_SWAP]) * _J_SIGN
-        y = b @ a[0].T + w @ a[1].T
-        y[2:] += b[:2] @ a[2].T + w[:2] @ a[3].T
+        st, du = a if len(a) == 2 else _dq_stack(a)
+        n = b.shape[-1]
+        z = np.empty((4, 2 * n), dtype=np.complex128)
+        z[:, :n] = b
+        np.multiply(np.conjugate(b[_J_SWAP]), _J_SIGN, out=z[:, n:])
+        y = z @ st
+        y[2:] += z[:2] @ du
         return y
     a1, a2, a3, a4 = a
     b1, b2, b3, b4 = b
@@ -139,15 +154,17 @@ def _scale_dual(x, st, du):
 def _dual_norm(x):
     """(st, du) of the dual 2-norm (Frobenius for matrices); when the standard
     part vanishes the norm is pure dual, (0, |dual part|)."""
+    # the halves flattened in part order: views of a stacked array
     k = len(x) // 2
-    st_sq = cross = 0.0
-    for a, b in zip(x, x[k:]):
-        st_sq += _sumsq(a)
-        cross += float(_redot(a, b))
+    if isinstance(x, np.ndarray):
+        s, d = x[:k].ravel(), x[k:].ravel()
+    else:
+        s, d = (np.concatenate([a.ravel() for a in half]) for half in (x[:k], x[k:]))
+    st_sq = np.vdot(s, s).real
     if st_sq != 0.0:
         st = math.sqrt(st_sq)
-        return st, cross / st
-    return 0.0, math.sqrt(sum(map(_sumsq, x[k:])))
+        return st, np.vdot(s, d).real / st
+    return 0.0, math.sqrt(np.vdot(d, d).real)
 
 
 def _norm_2r(x, axis=None):
@@ -157,23 +174,15 @@ def _norm_2r(x, axis=None):
 
 def _unit(x):
     """Projection onto unit 2-norm of a vector stacked as one (4, n) or (2, n)
-    array of parts: x times the reciprocal of its dual norm. Each part is
-    reduced along the last axis and the parts are summed in order, as
-    _dual_norm sums them. A pure-dual x becomes its dual part times
-    1/|dual part|, with zero dual part."""
-    h = len(x) // 2
-    # per standard part a and its dual part b, |a|^2 and Re<a, b>: the
-    # products of real and of imaginary components interleave in t
-    v = x.view(np.float64)
-    t = v[:h] * v.reshape(2, h, -1)
-    sq, cross = np.add.reduce(t[..., ::2] + t[..., 1::2], -1).tolist()
-    st_sq = sum(sq)
-    if st_sq != 0.0:
-        st = math.sqrt(st_sq)
-        return _scale_dual(x, 1.0 / st, -(sum(cross) / st) / (st * st))
-    du = math.sqrt(sum(_sumsq(x[h:], -1).tolist()))
+    array of parts: x (st + du eps)^-1 with (st, du) = _dual_norm(x). A
+    pure-dual x becomes its dual part times 1/|dual part|, with zero dual
+    part."""
+    st, du = _dual_norm(x)
+    if st != 0.0:
+        return _scale_dual(x, 1.0 / st, -du / (st * st))
     if du == 0.0:
         raise ZeroVector("cannot normalize the zero vector")
+    h = len(x) // 2
     out = np.zeros_like(x)
     out[:h] = x[h:] * (1.0 / du)
     return out
@@ -181,17 +190,15 @@ def _unit(x):
 
 def _unit_rows(x):
     """_unit of every row of x, a part tuple of (k, n) arrays whose rows have a
-    nonzero standard part. Each row is reduced along the last axis in the
-    order _unit reduces a vector, so every row comes out bit for bit as
-    _unit would return it."""
-    k = len(x) // 2
-    st_sq = cross = 0.0
-    for a, b in zip(x, x[k:]):
-        st_sq = st_sq + _sumsq(a, -1)
-        cross = cross + _redot(a, b, -1)
-    st = np.sqrt(st_sq)
-    du = cross / st
-    return _scale_dual(x, (1.0 / st)[:, None], (-du / (st * st))[:, None])
+    nonzero standard part. The two dots of each row run as one batched
+    matmul, which takes the BLAS dot np.vdot takes, so every row comes out
+    bit for bit as _unit would return it."""
+    h = len(x) // 2
+    s, d = np.concatenate(x[:h], -1), np.concatenate(x[h:], -1)
+    c = np.conj(s)[:, None, :]
+    st = np.sqrt((c @ s[:, :, None]).real[:, 0])
+    du = (c @ d[:, :, None]).real[:, 0] / st
+    return _scale_dual(x, 1.0 / st, -du / (st * st))
 
 
 def _eig_residual(a, x, st, du, axis=None):

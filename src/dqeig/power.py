@@ -3,14 +3,16 @@
 Every solver runs one power-iteration skeleton, _power, on one complex array
 per iterate: the parts of the vector stacked as the rows of a (2h, n) array,
 the standard part in the first h rows. The skeleton normalizes with the
-matrices kernel _unit and measures the residual |y - x(st + du eps)| with
-_residual; both serve either algebra through that layout. The matvec and the
-Rayleigh quotient come from one of two per-algebra tables:
+matrices kernel _unit, two BLAS dots and one dual scaling, and measures the
+residual |y - x(st + du eps)| with _residual, one BLAS dot; both serve
+either algebra through that layout. The matvec and the Rayleigh quotient
+come from one of two per-algebra tables:
 
 - _Quaternion iterates on the rows v1..v4 (h = 2), the complex-pair
   components of a dual quaternion vector, with the dual quaternion product
-  _dq_mul of the matrices module. This is plain dual quaternion arithmetic,
-  the cost baseline of power_method_baseline and power_method_spectrum.
+  _dq_mul of the matrices module on the matrix stacked once by _dq_stack.
+  This is plain dual quaternion arithmetic, the cost baseline of
+  power_method_baseline and power_method_spectrum.
 - _Adjoint iterates on the rows st, du (h = 1) of a dual complex vector
   against the adjoint matrix, built once by adjoint(). dcam_pm, adcam_pm
   and dcama_pm run on it; adcam_pm adds the Aitken step, which extrapolates
@@ -20,7 +22,10 @@ Rayleigh quotient come from one of two per-algebra tables:
 One deflation driver, _deflate, extracts all eigenpairs with either table:
 power_method_spectrum subtracts lam v v^* from Q, dcama_pm subtracts
 lam (u u^* + Hu Hu^*) from the adjoint. The immutable matrix and vector
-objects are built only on entry to and exit from each power loop.
+objects are built only on entry to and exit from each power loop. The
+single-pair solvers have the loop record every step as packed floats and
+build their IterTrace from them after the loop; the deflation driver, which
+reads only the iteration count and the convergence flag, records nothing.
 
 All solvers stop when the residual |y - u*lam| in the 2R norm drops to the
 configured tolerance; hitting the iteration cap is reported through the
@@ -29,6 +34,8 @@ aborts the sweep with the pairs found so far attached.
 """
 
 import math
+import numbers
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -44,9 +51,9 @@ from .matrices import (
     DualQuaternionVector,
     _dc_mul,
     _dq_mul,
+    _dq_stack,
     _eig_residual,
     _norm_2r,
-    _scale_dual,
     _unit,
     random_unit_vector,
 )
@@ -78,14 +85,16 @@ class PowerIterConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError("max_iter must be a positive integer")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError("tol must be finite and positive")
+        if not math.isfinite(self.aitken_trigger):
+            raise ValueError("aitken_trigger must be finite")
         if self.aitken_trigger < self.tol:
             raise ValueError("aitken_trigger must be at least tol")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
 
 
 @dataclass
@@ -123,25 +132,24 @@ def pair_residual(q: DualQuaternionMatrix, lam: DualNumber, v: DualQuaternionVec
 # The adjoint matvec and the normalization are the matrices kernels the
 # objects' own methods wrap, so the adjoint iterates match the object
 # arithmetic bit for bit: the Aitken step amplifies ulp-level differences in
-# its three iterates by about 1/(1 - r)^2 for a convergence ratio r. That
-# holds on the stacked layout because _unit reduces each row along the last
-# axis and then sums the rows in order, as it would reduce the parts one by
-# one. The Rayleigh quotient and the residual feed no iterate of the loop and
-# reduce with BLAS dot products, which differ from numpy sums in summation
-# order. The dual quaternion table has no Aitken step, so it multiplies its
-# four rows as one batch and takes its Rayleigh quotient from one 4 x 4 Gram
-# product, which changes only the summation order.
+# its three iterates by about 1/(1 - r)^2 for a convergence ratio r. On the
+# stacked layout _unit takes the dual norm from two BLAS dots over the
+# flattened standard and dual halves, the same two dots every object's
+# normalization takes. The Rayleigh quotient and the residual feed no iterate
+# of the loop; the residual is one BLAS dot of the whole stacked difference
+# with itself. The dual quaternion table has no Aitken step, so it multiplies
+# its four rows as one batch on its matrix stacked once by _dq_stack and
+# takes its Rayleigh quotient from one 4 x 4 Gram product, which changes only
+# the summation order.
 
 
 def _residual(x, y, st, du) -> float:
-    """|y - x (st + du eps)| in the 2R norm, one BLAS dot per row."""
-    r = y - _scale_dual(x, st, du)
-    sq = 0.0
-    # rows by index: iterating the array would cost more than the dots at n=10
-    for i in range(len(r)):
-        a = r[i]
-        sq += np.vdot(a, a).real
-    return math.sqrt(sq)
+    """|y - x (st + du eps)| in the 2R norm, one BLAS dot over all rows."""
+    h = len(x) // 2
+    r = y - x * st
+    r[h:] -= x[:h] * du
+    r = r.ravel()
+    return math.sqrt(np.vdot(r, r).real)
 
 
 class _Quaternion:
@@ -150,7 +158,7 @@ class _Quaternion:
 
     def __init__(self, q: DualQuaternionMatrix):
         self.matrix = q
-        self.a = q._parts
+        self.a = _dq_stack(q._parts)
 
     @staticmethod
     def enter(v: DualQuaternionVector):
@@ -239,56 +247,65 @@ def _aitken_complex(a0, a1, a2, guard):
 
 
 def _aitken_step(alg, hist, tol):
-    """Extrapolated (lam, w, residual) from the last three iterates, or None
-    when the extrapolated pair collapses or misses tol. A negative dominant
-    eigenvalue makes the iterates alternate sign, so the middle one is
-    sign-aligned first."""
+    """Extrapolated (st, du, w, residual) from the last three iterates, or
+    None when the extrapolated pair collapses or misses tol. A negative
+    dominant eigenvalue makes the iterates alternate sign, so the middle one
+    is sign-aligned first."""
     (xa, sa, da), (xb, sb, db), (xc, sc, dc) = hist
     sign = 1.0 if sc >= 0.0 else -1.0
     w = _aitken_complex(xa, xb * sign, xc, AITKEN_GUARD)
-    kappa = DualNumber(*_aitken_real((sa, da), (sb, db), (sc, dc), AITKEN_GUARD).tolist())
+    st, du = _aitken_real((sa, da), (sb, db), (sc, dc), AITKEN_GUARD).tolist()
     # cancellation collapse would shrink the standard part toward 0
     if _norm_2r(w[: len(w) // 2]) < 0.5:
         return None
-    res_w = _residual(w, alg.matvec(w), kappa.st, kappa.du)
-    return (kappa, w, res_w) if res_w <= tol else None
+    res_w = _residual(w, alg.matvec(w), st, du)
+    return (st, du, w, res_w) if res_w <= tol else None
 
 
-def _power(alg, x, cfg: PowerIterConfig, aitken: bool = False):
-    """Power iteration from x in alg's arithmetic; returns (lam, x, trace).
+def _power(alg, x, cfg: PowerIterConfig, aitken: bool = False, steps=None):
+    """Power iteration from x in alg's arithmetic; returns
+    (st, du, x, iterations, converged). Given an array("d") steps, appends
+    the st, du, residual and dropped part of every iteration to it.
 
     Without Aitken the loop stops once the raw residual meets cfg.tol and
     returns the last estimate with the normalized last image. With Aitken it
     stops only on an extrapolated pair that meets cfg.tol, tried each step
-    once the raw residual reaches cfg.aitken_trigger; that exit appends the
-    extrapolated pair as one extra trace record.
+    once the raw residual reaches cfg.aitken_trigger; that exit returns the
+    extrapolated pair and appends it to steps as one extra step.
     """
     x = _unit(x)
-    trace = IterTrace()
     hist = deque(maxlen=3)
     for k in range(1, cfg.max_iter + 1):
         y = alg.matvec(x)
         st, du, dropped = alg.rayleigh(x, y)
         res = _residual(x, y, st, du)
-        lam = DualNumber(st, du)
-        trace.record(lam, res, dropped)
+        if steps is not None:
+            steps.extend((st, du, res, dropped))
         x = _unit(y)
         if aitken:
             hist.append((x, st, du))
             if res <= cfg.aitken_trigger and len(hist) == 3:
                 step = _aitken_step(alg, hist, cfg.tol)
                 if step is not None:
-                    lam, w, res_w = step
-                    trace.record(lam, res_w, 0.0)
-                    x = _unit(w)
-                    trace.converged = True
+                    st, du, w, res_w = step
+                    if steps is not None:
+                        steps.extend((st, du, res_w, 0.0))
+                    return st, du, _unit(w), k, True
         elif res <= cfg.tol:
-            trace.converged = True
-        if trace.converged:
-            trace.iterations = k
-            return lam, x, trace
-    trace.iterations = cfg.max_iter
-    return lam, x, trace
+            return st, du, x, k, True
+    return st, du, x, cfg.max_iter, False
+
+
+def _dominant(alg, v0: DualQuaternionVector, cfg: PowerIterConfig, aitken: bool = False):
+    """(lam, v, trace) of _power from v0, with the trace built from its steps;
+    the steps are kept as packed doubles, 32 bytes per iteration."""
+    steps = array("d")
+    _, _, x, iterations, converged = _power(alg, alg.enter(v0), cfg, aitken, steps)
+    trace = IterTrace(converged=converged, iterations=iterations)
+    for i in range(0, len(steps), 4):
+        st, du, res, dropped = steps[i : i + 4]
+        trace.record(DualNumber(st, du), res, dropped)
+    return trace.eigenvalues[-1], alg.leave(x), trace
 
 
 def power_method_baseline(
@@ -299,16 +316,12 @@ def power_method_baseline(
     Expects Hermitian q and a unit start vector. Non-convergence within the
     iteration cap is reported in the trace, not raised.
     """
-    alg = _Quaternion(q)
-    lam, x, trace = _power(alg, alg.enter(v0), cfg)
-    return lam, alg.leave(x), trace
+    return _dominant(_Quaternion(q), v0, cfg)
 
 
 def dcam_pm(q: DualQuaternionMatrix, v0: DualQuaternionVector, cfg: PowerIterConfig):
     """Dominant eigenpair via power iteration on the adjoint matrix."""
-    alg = _Adjoint(adjoint(q))
-    lam, x, trace = _power(alg, alg.enter(v0), cfg)
-    return lam, alg.leave(x), trace
+    return _dominant(_Adjoint(adjoint(q)), v0, cfg)
 
 
 def aitken_extrapolate(x0, x1, x2, guard: float = AITKEN_GUARD):
@@ -348,9 +361,7 @@ def adcam_pm(q: DualQuaternionMatrix, v0: DualQuaternionVector, cfg: PowerIterCo
     When the dominant eigenvalue is negative the iterate sequence alternates
     sign, so the history is sign-aligned before extrapolating.
     """
-    alg = _Adjoint(adjoint(q))
-    lam, x, trace = _power(alg, alg.enter(v0), cfg, aitken=True)
-    return lam, alg.leave(x), trace
+    return _dominant(_Adjoint(adjoint(q)), v0, cfg, aitken=True)
 
 
 # -- deflation ------------------------------------------------------------------
@@ -359,10 +370,12 @@ def adcam_pm(q: DualQuaternionMatrix, v0: DualQuaternionVector, cfg: PowerIterCo
 def _spectrum_result(q, found, iterations):
     ordered = sorted(found, key=lambda t: (t[0].st, t[0].du), reverse=True)
     pairs = tuple((lam, (v,)) for lam, v in ordered)
-    if pairs:
-        residual = float(np.mean([pair_residual(q, lam, v) for lam, v in ordered]))
-    else:
-        residual = 0.0
+    if not pairs:
+        return EigenResult(pairs, 0.0, iterations)
+    # e_lambda from one residual product over the vectors as columns
+    x = tuple(np.stack(part, axis=1) for part in zip(*(v._parts for _, v in ordered)))
+    st, du = np.array([(lam.st, lam.du) for lam, _ in ordered]).T
+    residual = float(np.mean(_eig_residual(q._parts, x, st, du, axis=0)))
     return EigenResult(pairs, residual, iterations)
 
 
@@ -379,14 +392,15 @@ def _deflate(q: DualQuaternionMatrix, alg, cfg: PowerIterConfig, deflate_tol) ->
         if alg.matrix.norm_fr() <= deflate_tol:
             break
         rng = np.random.default_rng([cfg.seed, k])
-        lam, x, tr = _power(alg, alg.enter(random_unit_vector(n, rng)), cfg)
-        iterations += tr.iterations
-        if not tr.converged:
+        st, du, x, k_iter, converged = _power(alg, alg.enter(random_unit_vector(n, rng)), cfg)
+        iterations += k_iter
+        if not converged:
             raise InnerNoConvergence(
                 f"inner power loop {k} failed to converge in {cfg.max_iter} iterations",
                 partial=_spectrum_result(q, found, iterations),
                 pair_index=k,
             )
+        lam = DualNumber(st, du)
         found.append((lam, alg.leave(x)))
         alg = alg.deflated(x, lam)
     return _spectrum_result(q, found, iterations)

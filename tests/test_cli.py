@@ -235,6 +235,15 @@ class TestSolve:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize("alg", ["dcam", "adcam", "dcama", "pm"])
+    def test_infinite_tol_exits_1_with_one_line(self, alg, pentagon_file, capsys):
+        # an infinite tolerance would be met by the first residual
+        assert main(["solve", pentagon_file, "--alg", alg, "--tol", "inf"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_truncated_file_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "dqh-1", "n": 2, "entries": []}')

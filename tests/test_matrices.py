@@ -11,6 +11,8 @@ from dqeig.matrices import (
     DualQuaternionVector,
     _dq_dot,
     _dq_mul,
+    _dq_stack,
+    _dual_norm,
     _eig_residual,
     _norm_2r,
     _scale_dual,
@@ -222,6 +224,18 @@ class TestUnitProjection:
                 want = _unit(np.stack([a[k] for a in x]))
                 assert all(g[k].tobytes() == w.tobytes() for g, w in zip(got, want))
 
+    @pytest.mark.parametrize("n", [1, 10, 150])
+    def test_unit_is_the_scaling_by_the_dual_norm_bit_for_bit(self, n):
+        # one normalization formula: _unit scales by the reciprocal of the
+        # (st, du) that _dual_norm reduces, for stacks and for part tuples
+        rng = np.random.default_rng(n)
+        for parts in (4, 2):
+            x = rng.standard_normal((parts, n)) + 1j * rng.standard_normal((parts, n))
+            st, du = _dual_norm(x)
+            assert _dual_norm(tuple(x)) == (st, du)
+            want = _scale_dual(x, 1.0 / st, -du / (st * st))
+            assert _unit(x).tobytes() == want.tobytes()
+
 
 @pytest.mark.parametrize("shape", [(5, 5), (3, 7), (7, 2)])
 def test_stacked_vector_product_is_the_part_product(shape):
@@ -232,6 +246,8 @@ def test_stacked_vector_product_is_the_part_product(shape):
     got = _dq_mul(a._parts, np.stack(v._parts))
     assert got.shape == (4, shape[0])
     assert np.abs(got - np.stack(_dq_mul(a._parts, v._parts))).max() <= 1e-14 * shape[1]
+    # the matrix stacked once ahead gives the same product
+    assert _dq_mul(_dq_stack(a._parts), np.stack(v._parts)).tobytes() == got.tobytes()
 
 
 def test_eig_residual_scales_part_by_part_as_scale_dual_does():

@@ -252,12 +252,30 @@ def test_deflation_identity():
         assert lhs.max_abs_diff(rhs) <= 1e-11
 
 
-def test_config_validation():
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"max_iter": 0},
+        {"tol": 0.0},
+        {"tol": 1e-3, "aitken_trigger": 1e-6},
+        {"seed": -1},
+        {"tol": float("inf")},
+        {"tol": float("nan")},
+        {"tol": float("inf"), "aitken_trigger": float("inf")},
+        {"aitken_trigger": float("nan")},
+        {"aitken_trigger": float("inf")},
+        {"max_iter": 2.5},
+        {"max_iter": 100.0},
+        {"seed": 1.5},
+    ],
+    ids=["max-iter-0", "tol-0", "trigger-below-tol", "seed-negative", "tol-inf", "tol-nan",
+         "both-inf", "trigger-nan", "trigger-inf", "max-iter-2.5", "max-iter-float", "seed-1.5"],
+)
+def test_config_validation(kwargs):
     with pytest.raises(ValueError):
-        PowerIterConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        PowerIterConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        PowerIterConfig(tol=1e-3, aitken_trigger=1e-6)
-    with pytest.raises(ValueError):
-        PowerIterConfig(seed=-1)
+        PowerIterConfig(**kwargs)
+
+
+def test_config_takes_numpy_integers():
+    cfg = PowerIterConfig(max_iter=np.int64(7), seed=np.int64(3))
+    assert (cfg.max_iter, cfg.seed) == (7, 3)

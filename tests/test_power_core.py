@@ -13,15 +13,24 @@ import pytest
 
 from dqeig.bench import build_laplacian, random_graph, random_hermitian
 from dqeig.errors import InnerNoConvergence
-from dqeig.matrices import DualQuaternionMatrix, DualQuaternionVector, random_unit_vector
+from dqeig.matrices import (
+    DualQuaternionMatrix,
+    DualQuaternionVector,
+    _dq_mul,
+    _dq_stack,
+    random_unit_vector,
+)
 from dqeig.power import (
     PowerIterConfig,
+    _power,
+    _Quaternion,
     adcam_pm,
     dcam_pm,
     dcama_pm,
     power_method_baseline,
     power_method_spectrum,
 )
+from dqeig.scalars import DualNumber
 from tests import reference_power as ref
 
 TRACE_TOL = 1e-13
@@ -84,6 +93,9 @@ def test_single_pair_solver_follows_the_reference(kind, param, tol, solver, refe
     lam, v, trace = solver(q, v0, cfg)
     lam_ref, v_ref, trace_ref = reference(q, v0, cfg)
     assert_same_trace(trace, trace_ref)
+    # adcam exits through Aitken on every problem here, which records the
+    # extrapolated pair once more than there were iterations
+    assert len(trace.residuals) == trace.iterations + (solver is adcam_pm)
     assert (lam.st, lam.du) == (trace.eigenvalues[-1].st, trace.eigenvalues[-1].du)
     bound = TRACE_TOL * max(1.0, abs(lam_ref.st), abs(lam_ref.du))
     for a, b in zip((v.v1, v.v2, v.v3, v.v4), (v_ref.v1, v_ref.v2, v_ref.v3, v_ref.v4)):
@@ -104,7 +116,16 @@ DROPPED = {
 
 
 @pytest.mark.parametrize("mask,seed", DROPPED.values(), ids=DROPPED.keys())
-def test_pm_drops_the_imaginary_components_the_reference_drops(mask, seed):
+@pytest.mark.parametrize(
+    "solver,reference",
+    [
+        (power_method_baseline, ref.power_method_baseline),
+        (dcam_pm, ref.dcam_pm),
+        (adcam_pm, ref.adcam_pm),
+    ],
+    ids=["pm", "dcam", "adcam"],
+)
+def test_traces_drop_the_imaginary_components_the_reference_drops(mask, seed, solver, reference):
     # on a non-Hermitian Q the dropped components are O(1)
     rng = np.random.default_rng(seed)
     mask = np.array(mask)
@@ -113,10 +134,30 @@ def test_pm_drops_the_imaginary_components_the_reference_drops(mask, seed):
     v0 = DualQuaternionVector(*(mask[:, None] * (
         rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))))).unit()
     cfg = PowerIterConfig(max_iter=50, tol=1e-300)
-    _, _, trace = power_method_baseline(q, v0, cfg)
-    _, _, trace_ref = ref.power_method_baseline(q, v0, cfg)
+    _, _, trace = solver(q, v0, cfg)
+    _, _, trace_ref = reference(q, v0, cfg)
     assert trace_ref.imag_flag and trace_ref.dropped_imag > 0.1
     assert_same_trace(trace, trace_ref)
+
+
+DEFLATED = LAPLACIANS[2:3] + RANDOM[:1]
+
+
+@pytest.mark.parametrize("kind,param,tol", DEFLATED, ids=ids(DEFLATED))
+def test_deflated_quaternion_table_multiplies_by_its_deflated_matrix(kind, param, tol):
+    # the matrix _Quaternion stacks once is the one it deflated to
+    q, cfg = problem(kind, param, tol)
+    n = q.rows
+    rng = np.random.default_rng(5)
+    alg = _Quaternion(q)
+    for _ in range(3):
+        st, du, x, _, converged = _power(alg, alg.enter(random_unit_vector(n, rng)), cfg)
+        assert converged
+        alg = alg.deflated(x, DualNumber(st, du))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(alg.a, _dq_stack(alg.matrix._parts)))
+        v = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        want = np.stack(_dq_mul(alg.matrix._parts, tuple(v)))
+        assert np.abs(alg.matvec(v) - want).max() <= 1e-14 * n
 
 
 def spectrum(driver, q, cfg):
@@ -158,3 +199,35 @@ def test_pm_and_dcam_follow_one_trajectory(seed):
     assert len(trace_pm.eigenvalues) == len(trace_dcam.eigenvalues) == 300
     gap = np.abs(as_array(trace_pm.eigenvalues) - as_array(trace_dcam.eigenvalues)).max()
     assert gap <= 1e-13
+
+
+# Iterations per problem of perfbench's formation set at seed 7, in its
+# order, 29116 in all; pm and dcama follow one trajectory, so they agree
+# problem by problem
+FORMATION_SEED = 7
+FORMATION_ITERATIONS = [
+    207, 491, 1204, 1937, 1473, 4122,
+    112, 837, 917, 1387, 2057, 3313,
+    115, 493, 1164, 2453, 2645, 4189,
+]
+
+
+def formation_problems(seed):
+    """(Q, config) of the formation workload, built as perfbench builds them:
+    three graphs per sparsity, interleaved, each from its own seeded stream."""
+    for g in range(3):
+        for s in SPARSITIES:
+            rng = np.random.default_rng([seed, int(round(1000 * s)), g])
+            q = build_laplacian(random_graph(10, s, rng))
+            yield q, PowerIterConfig(
+                max_iter=50000, tol=1e-10, aitken_trigger=1e-3,
+                seed=int(rng.integers(0, 2**31)),
+            )
+
+
+@pytest.mark.parametrize("driver", [power_method_spectrum, dcama_pm], ids=["pm", "dcama"])
+def test_formation_iterations_stay_pinned(driver):
+    # a change to the loop's arithmetic must not move a stopping decision
+    outcomes = [spectrum(driver, q, cfg) for q, cfg in formation_problems(FORMATION_SEED)]
+    assert [failed for _, failed in outcomes] == [None] * len(FORMATION_ITERATIONS)
+    assert [result.iterations for result, _ in outcomes] == FORMATION_ITERATIONS
