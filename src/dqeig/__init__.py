@@ -3,21 +3,14 @@
 The solvers work through the dual complex adjoint matrix: a ring isomorphism
 turns the dual quaternion eigenproblem into a dual complex one, where power
 iteration (optionally Aitken-accelerated), deflation, and a direct
-eigendecomposition are available. Problem generators for formation-control
-Laplacians and a CLI round out the package.
+eigendecomposition are available; solve(q, alg) runs any of the five
+algorithms. Problem generators for formation-control Laplacians and a CLI
+round out the package.
 """
 
 __version__ = "0.1.0"
 
-from .adjoint import (
-    EigenEquivalenceReport,
-    adjoint,
-    adjoint_inverse,
-    check_eigen_equivalence,
-    vec_map_f,
-    vec_map_f_inverse,
-    vec_map_h,
-)
+from .adjoint import adjoint, vec_map_f, vec_map_f_inverse, vec_map_h
 from .bench import (
     PENTAGON_REFERENCE_EIGENVALUES,
     BenchRecord,
@@ -34,7 +27,6 @@ from .dual_eig import (
     EigenResult,
     eddcam_ea,
     eig_dual_complex_hermitian,
-    orthogonalize_eigenvectors,
 )
 from .errors import (
     ClusterInstability,
@@ -44,7 +36,6 @@ from .errors import (
     DQEigError,
     InnerNoConvergence,
     NoConvergence,
-    NotAdjointStructured,
     NotAnEigenvector,
     NotAppreciable,
     NotHermitian,
@@ -55,7 +46,7 @@ from .errors import (
     ZeroInput,
     ZeroVector,
 )
-from .hermitian_eig import ComplexHermitianEig, cluster_eigenvalues, eig_hermitian
+from .hermitian_eig import ComplexHermitianEig, eig_hermitian
 from .matrices import (
     DualComplexMatrix,
     DualComplexVector,
@@ -67,7 +58,6 @@ from .power import (
     IterTrace,
     PowerIterConfig,
     adcam_pm,
-    aitken_extrapolate,
     dcam_pm,
     dcama_pm,
     pair_residual,
@@ -82,3 +72,4 @@ from .scalars import (
     compare,
     project_unit_dual_quaternion,
 )
+from .solve import ALGORITHMS, solve

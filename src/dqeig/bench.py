@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual_eig import eddcam_ea
-from .errors import DegenerateRandomDraw, InnerNoConvergence, SparsityTooHigh
+from .errors import DegenerateRandomDraw, SparsityTooHigh
 from .matrices import (
     DualQuaternionMatrix,
     _dq_dot,
@@ -24,15 +23,9 @@ from .matrices import (
     _unit,
     random_unit_vector,
 )
-from .power import (
-    PowerIterConfig,
-    adcam_pm,
-    dcam_pm,
-    dcama_pm,
-    pair_residual,
-    power_method_spectrum,
-)
+from .power import PowerIterConfig
 from .scalars import DualNumber, DualQuaternion, Quaternion, project_unit_dual_quaternion
+from .solve import solve
 
 __all__ = [
     "VisibilityGraph",
@@ -290,31 +283,35 @@ def _worker_count() -> int:
     return max(1, k)
 
 
+def _timed_records(q, algorithms, cfg, v0=None, **fields):
+    """One BenchRecord per algorithm, each timing one solve of q."""
+    records = []
+    for name in algorithms:
+        t0 = time.perf_counter()
+        res = solve(q, name, cfg, v0)
+        dt = time.perf_counter() - t0
+        records.append(
+            BenchRecord(
+                algorithm=name,
+                e_lambda=res.residual,
+                iterations=float(res.iterations),
+                wall_seconds=dt,
+                converged=res.converged,
+                **fields,
+            )
+        )
+    return records
+
+
 def _aitken_trial(args):
     n, trial, seed, tol, max_iter = args
     rng = np.random.default_rng([seed, n, trial])
     q = random_hermitian(n, rng)
     v0 = random_unit_vector(n, rng)
     cfg = PowerIterConfig(max_iter=max_iter, tol=tol, aitken_trigger=1e-3, seed=seed)
-    records = []
-    for name, solver in (("dcam", dcam_pm), ("adcam", adcam_pm)):
-        t0 = time.perf_counter()
-        lam, v, tr = solver(q, v0, cfg)
-        dt = time.perf_counter() - t0
-        records.append(
-            BenchRecord(
-                algorithm=name,
-                n=n,
-                sparsity=None,
-                seed=seed,
-                trial=trial,
-                e_lambda=pair_residual(q, lam, v),
-                iterations=float(tr.iterations),
-                wall_seconds=dt,
-                converged=tr.converged,
-            )
-        )
-    return records
+    return _timed_records(
+        q, ("dcam", "adcam"), cfg, v0, n=n, sparsity=None, seed=seed, trial=trial
+    )
 
 
 def _laplacian_trial(args):
@@ -326,34 +323,9 @@ def _laplacian_trial(args):
     cfg = PowerIterConfig(
         max_iter=max_iter, tol=tol, aitken_trigger=max(tol, 1e-3), seed=inner_seed
     )
-    records = []
-    for name in ("pm", "dcama", "eddcam"):
-        t0 = time.perf_counter()
-        converged = True
-        if name == "eddcam":
-            result = eddcam_ea(lap)
-        else:
-            driver = power_method_spectrum if name == "pm" else dcama_pm
-            try:
-                result = driver(lap, cfg)
-            except InnerNoConvergence as exc:
-                result = exc.partial
-                converged = False
-        dt = time.perf_counter() - t0
-        records.append(
-            BenchRecord(
-                algorithm=name,
-                n=n,
-                sparsity=s,
-                seed=seed,
-                trial=trial,
-                e_lambda=result.residual,
-                iterations=float(result.iterations),
-                wall_seconds=dt,
-                converged=converged,
-            )
-        )
-    return records
+    return _timed_records(
+        lap, ("pm", "dcama", "eddcam"), cfg, n=n, sparsity=s, seed=seed, trial=trial
+    )
 
 
 def run_benchmark(

@@ -12,6 +12,10 @@ and iteration counts. Benchmarks are emitted as CSV with the fixed header
 
     algorithm,n,sparsity,trials,mean_e_lambda,mean_iters,mean_seconds,seed
 
+The solve and pentagon commands run their algorithm through solve() of
+dqeig.solve, which reports a power loop that hit its iteration cap as a
+result with converged false and the pairs found so far.
+
 Exit codes: 0 success, 1 input/usage error, 2 algorithm reported
 non-convergence.
 """
@@ -29,17 +33,10 @@ from .bench import (
     pentagon_fixture,
     run_benchmark,
 )
-from .dual_eig import _check_hermitian, eddcam_ea
-from .errors import DQEigError, InnerNoConvergence, ParseError
-from .matrices import DualQuaternionMatrix, random_unit_vector
-from .power import (
-    PowerIterConfig,
-    adcam_pm,
-    dcam_pm,
-    dcama_pm,
-    pair_residual,
-    power_method_spectrum,
-)
+from .errors import DQEigError, ParseError
+from .matrices import DualQuaternionMatrix
+from .power import PowerIterConfig
+from .solve import ALGORITHMS, solve
 
 PENTAGON_MATCH_TOL = 5e-4
 
@@ -121,6 +118,11 @@ def _emit(doc, out_path):
         sys.stdout.write(text)
 
 
+def _error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
 def cmd_solve(args) -> int:
     try:
         cfg = PowerIterConfig(
@@ -128,55 +130,29 @@ def cmd_solve(args) -> int:
             aitken_trigger=max(args.tol, 1e-3), seed=args.seed,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     try:
         matrix = load_matrix(args.matrix)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    n = matrix.rows
-    converged = True
-    try:
-        _check_hermitian(matrix)
-        if args.alg == "eddcam":
-            res = eddcam_ea(matrix)
-            doc = _result_doc("eddcam", n, res.pairs, res.residual, 0, True)
-        elif args.alg in ("dcama", "pm"):
-            driver = dcama_pm if args.alg == "dcama" else power_method_spectrum
-            try:
-                res = driver(matrix, cfg)
-            except InnerNoConvergence as exc:
-                res = exc.partial
-                converged = False
-            doc = _result_doc(args.alg, n, res.pairs, res.residual, res.iterations, converged)
-        else:  # dcam | adcam
-            solver = dcam_pm if args.alg == "dcam" else adcam_pm
-            rng = np.random.default_rng(args.seed)
-            v0 = random_unit_vector(n, rng)
-            lam, v, tr = solver(matrix, v0, cfg)
-            converged = tr.converged
-            doc = _result_doc(
-                args.alg, n, ((lam, (v,)),), pair_residual(matrix, lam, v),
-                tr.iterations, converged,
-            )
+        res = solve(matrix, args.alg, cfg)
     except DQEigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _emit(doc, args.out)
-    return 0 if converged else 2
+        return _error(exc)
+    doc = _result_doc(
+        args.alg, matrix.rows, res.pairs, res.residual, res.iterations, res.converged
+    )
+    try:
+        _emit(doc, args.out)
+    except OSError as exc:
+        return _error(f"cannot write {args.out}: {exc}")
+    return 0 if res.converged else 2
 
 
 def cmd_bench(args) -> int:
     if args.trials < 1:
-        print("error: --trials must be positive", file=sys.stderr)
-        return 1
+        return _error("--trials must be positive")
     if args.sizes and min(args.sizes) < 1:
-        print("error: --sizes must be positive", file=sys.stderr)
-        return 1
+        return _error("--sizes must be positive")
     if args.sparsities and not all(0.0 < s <= 1.0 for s in args.sparsities):
-        print("error: --sparsities must lie in (0, 1]", file=sys.stderr)
-        return 1
+        return _error("--sparsities must lie in (0, 1]")
     kwargs = {"trials": args.trials, "seed": args.seed}
     if args.sizes:
         kwargs["sizes"] = tuple(args.sizes)
@@ -189,8 +165,7 @@ def cmd_bench(args) -> int:
     try:
         records = run_benchmark(args.kind, **kwargs)
     except (DQEigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
 
     cells = {}
     order = []
@@ -223,67 +198,40 @@ def cmd_bench(args) -> int:
                     ]
                 )
     except OSError as exc:
-        print(f"error: cannot write {args.csv}: {exc}", file=sys.stderr)
-        return 1
+        return _error(f"cannot write {args.csv}: {exc}")
     return 0
 
 
 def cmd_pentagon(args) -> int:
-    fixture = pentagon_fixture()
-    if args.alg == "pm":
+    try:
         cfg = PowerIterConfig(max_iter=5000, tol=1e-6, aitken_trigger=1e-3, seed=args.seed)
-        try:
-            res = power_method_spectrum(fixture, cfg)
-            converged = True
-        except InnerNoConvergence as exc:
-            res = exc.partial
-            converged = False
-        found = [[lam.st, lam.du] for lam, _ in res.pairs]
-        if args.json:
-            _emit(
-                {
-                    "algorithm": "pm",
-                    "converged": converged,
-                    "eigenvalues": found,
-                    "e_lambda": res.residual,
-                    "iterations": res.iterations,
-                },
-                None,
-            )
-        else:
-            if converged:
-                print("pm converged on all eigenvalues (unexpected for this fixture)")
-            else:
-                print(f"pm: inner power loop hit the iteration cap after "
-                      f"{len(res.pairs)} of 5 eigenpairs")
-            for st, du in found:
-                print(f"  {st:8.4f} {du:+8.4f}eps")
-            print(f"  e_lambda = {res.residual:.4e}")
-        return 0 if converged else 2
-
-    res = eddcam_ea(fixture)
-    found = [(lam.st, lam.du) for lam, vecs in res.pairs for _ in vecs]
-    ok = len(found) == 5 and all(
-        abs(st - ref.st) <= PENTAGON_MATCH_TOL and abs(du - ref.du) <= PENTAGON_MATCH_TOL
-        for (st, du), ref in zip(found, PENTAGON_REFERENCE_EIGENVALUES)
-    )
-    if args.json:
-        _emit(
-            {
-                "algorithm": "eddcam",
-                "converged": True,
-                "eigenvalues": [[st, du] for st, du in found],
-                "e_lambda": res.residual,
-                "reference_match": ok,
-            },
-            None,
-        )
+    except ValueError as exc:
+        return _error(exc)
+    res = solve(pentagon_fixture(), args.alg, cfg)
+    found = [[lam.st, lam.du] for lam in res.eigenvalues()]
+    doc = {"algorithm": args.alg, "converged": res.converged, "eigenvalues": found,
+           "e_lambda": res.residual}
+    lines = [f"  {st:8.4f} {du:+8.4f}eps" for st, du in found]
+    lines.append(f"  e_lambda = {res.residual:.4e}")
+    if args.alg == "pm":
+        doc["iterations"] = res.iterations
+        code = 0 if res.converged else 2
+        lines.insert(0, "pm converged on all eigenvalues (unexpected for this fixture)"
+                     if res.converged else "pm: inner power loop hit the iteration cap "
+                     f"after {len(res.pairs)} of 5 eigenpairs")
     else:
-        for st, du in found:
-            print(f"  {st:8.4f} {du:+8.4f}eps")
-        print(f"  e_lambda = {res.residual:.4e}")
-        print("reference match: " + ("yes" if ok else "NO"))
-    return 0 if ok else 1
+        ok = len(found) == 5 and all(
+            abs(st - ref.st) <= PENTAGON_MATCH_TOL and abs(du - ref.du) <= PENTAGON_MATCH_TOL
+            for (st, du), ref in zip(found, PENTAGON_REFERENCE_EIGENVALUES)
+        )
+        doc["reference_match"] = ok
+        code = 0 if ok else 1
+        lines.append("reference match: " + ("yes" if ok else "NO"))
+    if args.json:
+        _emit(doc, None)
+    else:
+        print("\n".join(lines))
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,9 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one matrix file")
     p_solve.add_argument("matrix", help="path to a dqh-1 matrix file")
-    p_solve.add_argument(
-        "--alg", required=True, choices=["eddcam", "dcama", "dcam", "adcam", "pm"]
-    )
+    p_solve.add_argument("--alg", required=True, choices=ALGORITHMS)
     p_solve.add_argument("--tol", type=float, default=1e-6)
     p_solve.add_argument("--max-iter", type=int, default=5000)
     p_solve.add_argument("--seed", type=int, default=0)

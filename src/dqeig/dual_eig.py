@@ -45,8 +45,7 @@ from .matrices import (
 )
 from .scalars import DualNumber
 
-__all__ = ["DualEigenDecomposition", "EigenResult", "eig_dual_complex_hermitian",
-           "orthogonalize_eigenvectors", "eddcam_ea"]
+__all__ = ["DualEigenDecomposition", "EigenResult", "eig_dual_complex_hermitian", "eddcam_ea"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,12 +78,14 @@ class EigenResult:
 
     residual is e_lambda: the mean 2R-norm residual of Q w = w lam over all
     reported eigenvectors. iterations counts inner power iterations for the
-    iterative solvers and is 0 for the direct one.
+    iterative solvers and is 0 for the direct one. converged is False when a
+    power loop hit its iteration cap; pairs then holds what was found.
     """
 
     pairs: tuple
     residual: float
     iterations: int = 0
+    converged: bool = True
 
     def eigenvalues(self):
         """Flat eigenvalue list, one entry per eigenvector."""
@@ -226,24 +227,6 @@ def _redundant_partner(x, y, tol_rank: float):
     return np.sqrt(_sumsq(rest, -1)) <= tol_rank * np.maximum(1.0, _norm_2r(y, -1))
 
 
-def orthogonalize_eigenvectors(
-    vs, q: DualQuaternionMatrix, lam: DualNumber, tol_rank: float = 1e-8
-):
-    """Gram-Schmidt for one eigenvalue, run on F of the candidates.
-
-    Every input must already satisfy Q v = v lam to residual 1e-8 (checked).
-    Candidates whose remainder has a standard-part norm at or below tol_rank
-    are redundant and dropped; survivors are orthonormal eigenvectors.
-    """
-    _check_tol(tol_rank=tol_rank)
-    if not vs:
-        return []
-    x = tuple(np.stack(part, axis=1) for part in zip(*(v._parts for v in vs)))
-    _check_eigenvectors(q, x, np.full(len(vs), lam.st), np.full(len(vs), lam.du))
-    f = (np.concatenate([x[0], -x[1].conj()]), np.concatenate([x[2], -x[3].conj()]))
-    return [DualQuaternionVector(*w) for w in zip(*_gram_schmidt(f, tol_rank))]
-
-
 # DualQuaternion.conj on quaternion components (w, x, y, z)
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])[:, None]
 
@@ -285,14 +268,17 @@ def eddcam_ea(
     adjoint eigenvector columns by equal dual-number eigenvalues -> check F^-1
     of every column -> orthogonalize each group on the adjoint side. Each
     group of adjoint multiplicity t yields exactly t/2 eigenvectors.
+
+    The Hermitian gate runs once, on the adjoint in the decomposition: its
+    entries are those of Q's parts up to sign and conjugation, so it decides
+    as a gate on Q would, and a non-square or non-Hermitian Q raises
+    NotHermitian there.
     """
     _check_tol(tol_group=tol_group, tol_rank=tol_rank)
-    _check_hermitian(q)
+    dec = eig_dual_complex_hermitian(adjoint(q), tol_group)
     n = q.rows
     if n == 0:
         return EigenResult((), 0.0)
-
-    dec = eig_dual_complex_hermitian(adjoint(q), tol_group)
     st, du, s, d = dec.lam, dec.mu, dec.u_st, dec.u_du
 
     # consecutive grouping: sigma is sorted descending in the dual order

@@ -29,10 +29,6 @@ class DimensionMismatch(DQEigError):
     """Operand shapes do not conform."""
 
 
-class NotAdjointStructured(DQEigError):
-    """Matrix violates the 2x2 adjoint block pattern beyond tolerance."""
-
-
 class OddLength(DQEigError):
     """Vector map on the adjoint side needs an even-length input."""
 

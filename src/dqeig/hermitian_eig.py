@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import NoConvergence, NotHermitian
 
-__all__ = ["ComplexHermitianEig", "eig_hermitian", "cluster_eigenvalues"]
+__all__ = ["ComplexHermitianEig", "eig_hermitian"]
 
 
 @dataclass(frozen=True)
@@ -69,21 +69,14 @@ def _run_means(x, starts, sizes):
 
 
 def _clusters(values, tol_group: float = 1e-8):
-    """(means, sizes) of the clusters of a descending eigenvalue array, as
-    arrays: the rule of cluster_eigenvalues."""
+    """(means, sizes) of the clusters of a descending eigenvalue array.
+
+    Consecutive values within tol_group * max(1, max |values|) of each other
+    share a cluster; the cluster value is the mean of its members.
+    """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return np.empty(0), np.empty(0, dtype=int)
     threshold = tol_group * max(1.0, abs(float(values[0])), abs(float(values[-1])))
     starts, sizes = _runs(values[:-1] - values[1:] > threshold)
     return _run_means(values, starts, sizes), sizes
-
-
-def cluster_eigenvalues(values, tol_group: float = 1e-8):
-    """Group a descending eigenvalue list into (value, multiplicity) clusters.
-
-    Consecutive values within tol_group * max(1, max |values|) of each other
-    share a cluster; the cluster value is the mean of its members.
-    """
-    means, sizes = _clusters(values, tol_group)
-    return list(zip(means.tolist(), sizes.tolist()))

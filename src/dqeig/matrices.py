@@ -582,14 +582,6 @@ class DualComplexMatrix:
             np.abs(self.du - other.du).max(initial=0.0),
         )
 
-    def is_adjoint_structured(self, tol: float = 1e-12) -> bool:
-        from .adjoint import adjoint_block_deviation
-
-        if self.rows % 2 or self.cols % 2:
-            return False
-        scale = max(1.0, np.abs(self.st).max(initial=0.0), np.abs(self.du).max(initial=0.0))
-        return adjoint_block_deviation(self) <= tol * scale
-
     def norm_f(self) -> DualNumber:
         return DualNumber(*_dual_norm(self._parts))
 

@@ -67,7 +67,6 @@ __all__ = [
     "adcam_pm",
     "dcama_pm",
     "power_method_spectrum",
-    "aitken_extrapolate",
     "pair_residual",
 ]
 
@@ -322,34 +321,6 @@ def power_method_baseline(
 def dcam_pm(q: DualQuaternionMatrix, v0: DualQuaternionVector, cfg: PowerIterConfig):
     """Dominant eigenpair via power iteration on the adjoint matrix."""
     return _dominant(_Adjoint(adjoint(q)), v0, cfg)
-
-
-def aitken_extrapolate(x0, x1, x2, guard: float = AITKEN_GUARD):
-    """Aitken delta-squared step from three consecutive iterates.
-
-    Standard and dual parts extrapolate independently, real component by
-    real component. A component whose second difference falls below
-    guard * max(1, |x|) passes through unextrapolated, which keeps the
-    step exact-or-harmless near convergence.
-    """
-    if isinstance(x0, DualNumber):
-        return DualNumber(
-            float(_aitken_real(x0.st, x1.st, x2.st, guard)),
-            float(_aitken_real(x0.du, x1.du, x2.du, guard)),
-        )
-    if isinstance(x0, DualComplexVector):
-        return DualComplexVector(
-            _aitken_complex(x0.st, x1.st, x2.st, guard),
-            _aitken_complex(x0.du, x1.du, x2.du, guard),
-        )
-    if isinstance(x0, DualQuaternionVector):
-        return DualQuaternionVector(
-            _aitken_complex(x0.v1, x1.v1, x2.v1, guard),
-            _aitken_complex(x0.v2, x1.v2, x2.v2, guard),
-            _aitken_complex(x0.v3, x1.v3, x2.v3, guard),
-            _aitken_complex(x0.v4, x1.v4, x2.v4, guard),
-        )
-    raise TypeError(f"cannot extrapolate {type(x0).__name__}")
 
 
 def adcam_pm(q: DualQuaternionMatrix, v0: DualQuaternionVector, cfg: PowerIterConfig):

@@ -13,9 +13,25 @@ import numpy as np
 
 from dqeig.adjoint import adjoint, vec_map_f, vec_map_f_inverse, vec_map_h
 from dqeig.errors import InnerNoConvergence
-from dqeig.matrices import random_unit_vector
-from dqeig.power import IterTrace, _spectrum_result, aitken_extrapolate
+from dqeig.matrices import DualComplexVector, DualQuaternionVector, random_unit_vector
+from dqeig.power import AITKEN_GUARD, IterTrace, _aitken_complex, _aitken_real, _spectrum_result
 from dqeig.scalars import DualNumber
+
+
+def aitken_extrapolate(x0, x1, x2, guard=AITKEN_GUARD):
+    """Aitken delta-squared step from three consecutive DualNumber,
+    DualComplexVector or DualQuaternionVector iterates, part by part, with
+    the array kernels of dqeig.power: a component whose second difference
+    falls below guard * max(1, |x|) passes through unextrapolated."""
+    if isinstance(x0, DualNumber):
+        return DualNumber(
+            float(_aitken_real(x0.st, x1.st, x2.st, guard)),
+            float(_aitken_real(x0.du, x1.du, x2.du, guard)),
+        )
+    if isinstance(x0, (DualComplexVector, DualQuaternionVector)):
+        parts = (_aitken_complex(*p, guard) for p in zip(x0._parts, x1._parts, x2._parts))
+        return type(x0)(*parts)
+    raise TypeError(f"cannot extrapolate {type(x0).__name__}")
 
 
 def _cast_complex(lam):

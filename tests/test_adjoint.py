@@ -1,19 +1,47 @@
 import numpy as np
 import pytest
 
-from dqeig.adjoint import (
-    adjoint,
-    adjoint_inverse,
-    check_eigen_equivalence,
-    vec_map_f,
-    vec_map_f_inverse,
-    vec_map_h,
-)
+from dqeig.adjoint import adjoint, vec_map_f, vec_map_f_inverse, vec_map_h
 from dqeig.bench import random_hermitian
-from dqeig.errors import NotAdjointStructured, OddLength
+from dqeig.errors import OddLength
 from dqeig.matrices import DualComplexMatrix, DualComplexVector, DualQuaternionMatrix
 from dqeig.scalars import DualComplex, DualQuaternion, Quaternion
 from tests.test_matrices import rand_dq_matrix, rand_dq_vector
+
+
+def adjoint_parts(m: DualComplexMatrix) -> DualQuaternionMatrix:
+    """The inverse of the adjoint map: the parts a1, a2 (a3, a4) read off the
+    top blocks of the standard (dual) part of m, whose bottom blocks must be
+    -conj(a2) and conj(a1) (-conj(a4) and conj(a3)) exactly."""
+    r, c = m.rows // 2, m.cols // 2
+    parts = []
+    for part in (m.st, m.du):
+        a, b = part[:r, :c], part[:r, c:]
+        assert np.array_equal(part[r:, :c], -b.conj())
+        assert np.array_equal(part[r:, c:], a.conj())
+        parts += [a, b]
+    return DualQuaternionMatrix(*parts)
+
+
+def eigen_residuals(q, lam: DualComplex, v):
+    """The three equivalent eigenvalue equations for P = adjoint(Q):
+    |Q v - v lam|, |P u - lam u| with u = F(v), and |P Hu - conj(lam) Hu|.
+    They agree up to rounding whenever the adjoint map is right, whether or
+    not (lam, v) is an eigenpair."""
+    lam_dq = DualQuaternion(
+        Quaternion.from_complex_pair(lam.st, 0j), Quaternion.from_complex_pair(lam.du, 0j)
+    )
+    p, u = adjoint(q), vec_map_f(v)
+    hu = vec_map_h(u)
+    return (
+        (q @ v - v.scale_right(lam_dq)).norm_2r(),
+        (p @ u - u.scale(lam)).norm_2r(),
+        (p @ hu - hu.scale(lam.conjugate())).norm_2r(),
+    )
+
+
+def spread(residuals):
+    return max(residuals) - min(residuals)
 
 
 class TestAdjointMap:
@@ -104,32 +132,12 @@ class TestAdjointInverse:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(27)
         q = rand_dq_matrix(3, 5, rng)
-        back = adjoint_inverse(adjoint(q))
+        back = adjoint_parts(adjoint(q))
         assert back.max_abs_diff(q) == 0.0
 
     def test_identity(self):
-        back = adjoint_inverse(DualComplexMatrix.identity(6))
+        back = adjoint_parts(DualComplexMatrix.identity(6))
         assert back.max_abs_diff(DualQuaternionMatrix.identity(3)) == 0.0
-
-    def test_rejects_unstructured(self):
-        m = DualComplexMatrix(np.arange(16, dtype=float).reshape(4, 4))
-        with pytest.raises(NotAdjointStructured):
-            adjoint_inverse(m)
-        with pytest.raises(NotAdjointStructured):
-            adjoint_inverse(DualComplexMatrix(np.zeros((3, 3))))
-
-    def test_symmetrizes_small_drift(self):
-        rng = np.random.default_rng(28)
-        q = rand_dq_matrix(2, 2, rng)
-        m = adjoint(q)
-        drift = DualComplexMatrix(1e-14 * rng.standard_normal((4, 4)))
-        back = adjoint_inverse(m + drift)
-        assert back.max_abs_diff(q) <= 1e-13
-
-    def test_structure_predicate(self):
-        rng = np.random.default_rng(29)
-        assert adjoint(rand_dq_matrix(2, 3, rng)).is_adjoint_structured()
-        assert not DualComplexMatrix(np.ones((2, 2))).is_adjoint_structured()
 
 
 class TestVectorMaps:
@@ -199,8 +207,7 @@ class TestEigenEquivalence:
                 [DualQuaternion(), DualQuaternion.one()],
             ]
         )
-        rep = check_eigen_equivalence(q, DualComplex(2 + 0j, 1 + 0j), _e1(2))
-        assert max(rep.residual_direct, rep.residual_adjoint, rep.residual_partner) <= 1e-15
+        assert max(eigen_residuals(q, DualComplex(2 + 0j, 1 + 0j), _e1(2))) <= 1e-15
 
     def test_solver_output_satisfies_all_three(self):
         from dqeig.dual_eig import eddcam_ea
@@ -208,9 +215,9 @@ class TestEigenEquivalence:
         q = random_hermitian(5, np.random.default_rng(35))
         res = eddcam_ea(q)
         lam, vecs = res.pairs[0]
-        rep = check_eigen_equivalence(q, DualComplex(lam.st, lam.du), vecs[0])
-        assert rep.residual_direct <= 1e-10
-        assert rep.max_spread() <= 1e-12
+        r = eigen_residuals(q, DualComplex(lam.st, lam.du), vecs[0])
+        assert r[0] <= 1e-10
+        assert spread(r) <= 1e-12
 
     def test_perturbed_eigenvalue_grows_linearly(self):
         q = random_hermitian(4, np.random.default_rng(36))
@@ -218,16 +225,16 @@ class TestEigenEquivalence:
 
         lam, vecs = eddcam_ea(q).pairs[0]
         v = vecs[0]
-        rep = check_eigen_equivalence(q, DualComplex(lam.st + 0.1, lam.du), v)
-        assert abs(rep.residual_direct - 0.1 * v.norm_2r()) <= 1e-3
-        assert rep.max_spread() <= 1e-12
+        r = eigen_residuals(q, DualComplex(lam.st + 0.1, lam.du), v)
+        assert abs(r[0] - 0.1 * v.norm_2r()) <= 1e-3
+        assert spread(r) <= 1e-12
 
     def test_residuals_agree_even_off_eigenpair(self):
         rng = np.random.default_rng(37)
         q = random_hermitian(4, rng)
         v = rand_dq_vector(4, rng)
-        rep = check_eigen_equivalence(q, DualComplex(0.7 + 0.2j, -1.1 + 0.5j), v)
-        assert rep.max_spread() <= 1e-12 * max(1.0, rep.residual_direct)
+        r = eigen_residuals(q, DualComplex(0.7 + 0.2j, -1.1 + 0.5j), v)
+        assert spread(r) <= 1e-12 * max(1.0, r[0])
 
 
 def _e1(n):

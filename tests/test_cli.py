@@ -244,6 +244,14 @@ class TestSolve:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    def test_unwritable_out_exits_1_with_one_line(self, pentagon_file, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "x.json")
+        assert main(["solve", pentagon_file, "--alg", "eddcam", "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}")
+
     def test_truncated_file_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "dqh-1", "n": 2, "entries": []}')
@@ -359,3 +367,10 @@ class TestPentagonCommand:
         assert main(["pentagon", "--alg", "pm", "--json"]) == 2
         doc = json.loads(capsys.readouterr().out)
         assert doc["converged"] is False
+
+    def test_negative_seed_exits_1_with_one_line(self, capsys):
+        assert main(["pentagon", "--alg", "pm", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "seed" in lines[0]

@@ -13,13 +13,27 @@ from dqeig.bench import (
     synth_known_spectrum,
 )
 from dqeig.dual_eig import (
+    _check_eigenvectors,
+    _check_hermitian,
+    _gram_schmidt,
     eddcam_ea,
     eig_dual_complex_hermitian,
-    orthogonalize_eigenvectors,
 )
 from dqeig.errors import ClusterInstability, NotAnEigenvector, NotHermitian
 from dqeig.matrices import DualComplexMatrix, DualQuaternionMatrix, DualQuaternionVector
 from dqeig.scalars import DualNumber, DualQuaternion, Quaternion
+
+
+def orthogonalize(vs, q, lam, tol_rank=1e-8):
+    """Gram-Schmidt for one eigenvalue as eddcam_ea runs it: every candidate
+    v must satisfy Q v = v lam (NotAnEigenvector otherwise), then the kernel
+    runs on the columns F(v) and the kept vectors come back as objects."""
+    if not vs:
+        return []
+    x = tuple(np.stack(part, axis=1) for part in zip(*(v._parts for v in vs)))
+    _check_eigenvectors(q, x, np.full(len(vs), lam.st), np.full(len(vs), lam.du))
+    f = (np.concatenate([x[0], -x[1].conj()]), np.concatenate([x[2], -x[3].conj()]))
+    return [DualQuaternionVector(*w) for w in zip(*_gram_schmidt(f, tol_rank))]
 
 
 def dual_diag(entries):
@@ -120,13 +134,13 @@ class TestOrthogonalize:
 
     def test_duplicate_collapses(self):
         q, lam, (v, _) = self._fixture()
-        out = orthogonalize_eigenvectors([v, v], q, lam)
+        out = orthogonalize([v, v], q, lam)
         assert len(out) == 1
         assert abs(out[0].norm_2().st - 1.0) <= 1e-12
 
     def test_orthonormal_pair_unchanged(self):
         q, lam, vecs = self._fixture()
-        out = orthogonalize_eigenvectors(vecs, q, lam)
+        out = orthogonalize(vecs, q, lam)
         assert len(out) == 2
         for a, b in zip(out, vecs):
             assert (a - b).norm_2r() <= 1e-10
@@ -134,7 +148,7 @@ class TestOrthogonalize:
     def test_mixture_recovers_orthonormal_span(self):
         q, lam, (v, u) = self._fixture()
         mixed = v + u.scale_right(DualQuaternion(Quaternion(0.5)))
-        out = orthogonalize_eigenvectors([v, mixed], q, lam)
+        out = orthogonalize([v, mixed], q, lam)
         assert len(out) == 2
         for i, a in enumerate(out):
             for j, b in enumerate(out):
@@ -150,7 +164,7 @@ class TestOrthogonalize:
         q, lam, (v, _) = self._fixture()
         junk = DualQuaternionVector.basis(3, 0) + DualQuaternionVector.basis(3, 1)
         with pytest.raises(NotAnEigenvector):
-            orthogonalize_eigenvectors([v, junk], q, lam)
+            orthogonalize([v, junk], q, lam)
 
 
 class TestEddcamEa:
@@ -251,7 +265,7 @@ class TestEddcamEa:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="cluster_eigenvalues groups within tol_group * max |lam| = 1 here, "
+        reason="the eigenvalue clustering groups within tol_group * max |lam| = 1 here, "
         "so 0.5 and 0.2 merge into 0.35 twice (e_lambda 0.075)",
     )
     @pytest.mark.parametrize("seed", range(4))
@@ -273,6 +287,36 @@ class TestEddcamEa:
         m = DualQuaternionMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
         with pytest.raises(NotHermitian):
             eddcam_ea(m)
+
+    def test_rejects_non_square(self):
+        m = DualQuaternionMatrix(np.ones((2, 3)), np.zeros((2, 3)))
+        with pytest.raises(NotHermitian, match="not square"):
+            eddcam_ea(m)
+
+    def test_adjoint_gate_decides_as_the_gate_on_q(self):
+        # eddcam_ea gates only adjoint(Q): its entries are Q's parts up to
+        # sign and conjugation, so near the threshold it decides as Q's would
+        rng = np.random.default_rng(70)
+        decided = []
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            parts = [a * 10.0 ** rng.uniform(-3, 4) for a in random_hermitian(n, rng)._parts]
+            bound = 1e-10 * max(1.0, *(np.abs(a).max() for a in parts))
+            k, i, j = int(rng.integers(4)), *rng.integers(n, size=2)
+            parts[k][i, j] += rng.uniform(0.5, 1.5) * bound * np.exp(2j * np.pi * rng.uniform())
+            q = DualQuaternionMatrix(*parts)
+            on_q = on_adjoint = True
+            try:
+                _check_hermitian(q)
+            except NotHermitian:
+                on_q = False
+            try:
+                _check_hermitian(adjoint(q))
+            except NotHermitian:
+                on_adjoint = False
+            assert on_q == on_adjoint
+            decided.append(on_q)
+        assert 0 < sum(decided) < len(decided)
 
 
 def graph_laplacian(g):
@@ -324,15 +368,9 @@ def test_eddcam_rejects_a_bad_tolerance_before_any_work(name, tol):
 
 
 @pytest.mark.parametrize("tol", BAD_TOLERANCES)
-def test_decomposition_and_gram_schmidt_reject_a_bad_tolerance(tol):
-    q = formation_laplacian()
+def test_decomposition_rejects_a_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tol_group"):
-        eig_dual_complex_hermitian(adjoint(q), tol_group=tol)
-    lam, vecs = eddcam_ea(q).pairs[0]
-    with pytest.raises(ValueError, match="tol_rank"):
-        orthogonalize_eigenvectors(list(vecs), q, lam, tol_rank=tol)
-    with pytest.raises(ValueError, match="tol_rank"):
-        orthogonalize_eigenvectors([], q, lam, tol_rank=tol)
+        eig_dual_complex_hermitian(adjoint(formation_laplacian()), tol_group=tol)
 
 
 def test_decomposition_holds_read_only_arrays():

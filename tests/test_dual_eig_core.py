@@ -26,6 +26,7 @@ from dqeig.errors import DQEigError, NotAnEigenvector
 from dqeig.matrices import DualQuaternionVector, _dq_mul, _unit_rows
 from dqeig.scalars import DualNumber, DualQuaternion, Quaternion
 from tests import reference_dual_eig as ref
+from tests.test_dual_eig import orthogonalize
 
 SPARSITIES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 
@@ -162,7 +163,7 @@ def test_redundant_candidates_are_dropped_alike():
     lam, (v,) = dual_eig.eddcam_ea(q).pairs[0]
     rotated = v.scale_right(DualNumber(-1.0, 0.5))
     vs = [v, rotated, v]
-    got = dual_eig.orthogonalize_eigenvectors(vs, q, lam)
+    got = orthogonalize(vs, q, lam)
     want = ref.orthogonalize_eigenvectors(vs, q, lam)
     assert len(got) == len(want) == 1
     assert bits(got[0]) == bits(want[0])
@@ -238,7 +239,7 @@ def test_a_non_eigenvector_raises_alike():
     q = pentagon_fixture()
     lam, (v,) = dual_eig.eddcam_ea(q).pairs[0]
     junk = DualQuaternionVector.basis(5, 2)
-    for gs in (dual_eig.orthogonalize_eigenvectors, ref.orthogonalize_eigenvectors):
+    for gs in (orthogonalize, ref.orthogonalize_eigenvectors):
         with pytest.raises(NotAnEigenvector):
             gs([v, junk], q, lam)
-    assert dual_eig.orthogonalize_eigenvectors([], q, lam) == []
+    assert orthogonalize([], q, lam) == []

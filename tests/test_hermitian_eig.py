@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from dqeig.errors import NotHermitian
-from dqeig.hermitian_eig import _run_means, _runs, cluster_eigenvalues, eig_hermitian
+from dqeig.hermitian_eig import _clusters, _run_means, _runs, eig_hermitian
 from tests import reference_dual_eig as ref
+
+
+def cluster_eigenvalues(values, tol_group=1e-8):
+    """_clusters as a list of (value, multiplicity) pairs."""
+    means, sizes = _clusters(values, tol_group)
+    return list(zip(means.tolist(), sizes.tolist()))
 
 
 def rand_hermitian_complex(n, rng):

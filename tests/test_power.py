@@ -10,7 +10,6 @@ from dqeig.matrices import DualComplexVector, DualQuaternionVector, random_unit_
 from dqeig.power import (
     PowerIterConfig,
     adcam_pm,
-    aitken_extrapolate,
     dcam_pm,
     dcama_pm,
     pair_residual,
@@ -18,6 +17,7 @@ from dqeig.power import (
     power_method_spectrum,
 )
 from dqeig.scalars import DualNumber
+from tests.reference_power import aitken_extrapolate
 from tests.test_dual_eig import dq_diag
 
 CFG = PowerIterConfig(max_iter=5000, tol=1e-6, aitken_trigger=1e-3, seed=0)
