@@ -48,8 +48,6 @@ from .errors import (
 )
 from .hermitian_eig import ComplexHermitianEig, eig_hermitian
 from .matrices import (
-    DualComplexMatrix,
-    DualComplexVector,
     DualQuaternionMatrix,
     DualQuaternionVector,
     random_unit_vector,
@@ -65,11 +63,9 @@ from .power import (
     power_method_spectrum,
 )
 from .scalars import (
-    DualComplex,
     DualNumber,
     DualQuaternion,
     Quaternion,
-    compare,
     project_unit_dual_quaternion,
 )
 from .solve import ALGORITHMS, solve

@@ -1,4 +1,5 @@
-"""Structure-preserving maps between dual quaternion and dual complex objects.
+"""Structure-preserving maps between dual quaternion objects and the arrays
+of the dual complex adjoint side.
 
 An n x m dual quaternion matrix with complex-pair parts (A1, A2) and
 (A3, A4) maps to the 2n x 2m dual complex adjoint matrix
@@ -7,18 +8,16 @@ An n x m dual quaternion matrix with complex-pair parts (A1, A2) and
     [ -conj(A2) conj(A1)]  +  [ -conj(A4) conj(A3)] * eps.
 
 The map is a ring isomorphism onto the set of matrices carrying this block
-pattern; vectors travel through the companion maps F, F^-1 and H.
+pattern. On the adjoint side a matrix or vector is the pair (st, du) of
+complex arrays of its standard and dual parts, the first axis of length 2n.
+Vectors travel through the companion maps F, F^-1 and H, which take a whole
+stack of vectors at once as the columns of (2n, k) arrays.
 """
 
 import numpy as np
 
 from .errors import OddLength
-from .matrices import (
-    DualComplexMatrix,
-    DualComplexVector,
-    DualQuaternionMatrix,
-    DualQuaternionVector,
-)
+from .matrices import DualQuaternionMatrix
 
 __all__ = ["adjoint", "vec_map_f", "vec_map_f_inverse", "vec_map_h"]
 
@@ -34,38 +33,41 @@ def _block(a, b):
     return out
 
 
-def adjoint(q: DualQuaternionMatrix) -> DualComplexMatrix:
-    """Dual complex adjoint matrix of a dual quaternion matrix."""
-    return DualComplexMatrix._wrap(_block(q.a1, q.a2), _block(q.a3, q.a4))
+def adjoint(q: DualQuaternionMatrix):
+    """The (st, du) pair of read-only arrays of the dual complex adjoint of q."""
+    st, du = _block(q.a1, q.a2), _block(q.a3, q.a4)
+    st.setflags(write=False)
+    du.setflags(write=False)
+    return st, du
 
 
-def vec_map_f(v: DualQuaternionVector) -> DualComplexVector:
-    """F: stack (v1, -conj(v2)) for the standard part and (v3, -conj(v4)) for the dual."""
-    return DualComplexVector(
-        np.concatenate([v.v1, -v.v2.conj()]),
-        np.concatenate([v.v3, -v.v4.conj()]),
-    )
+def _half(u) -> int:
+    m = len(u[0])
+    if m % 2:
+        raise OddLength(f"length {m} is odd")
+    return m // 2
 
 
-def vec_map_f_inverse(u: DualComplexVector) -> DualQuaternionVector:
-    """Inverse of F; requires even length."""
-    if u.n % 2:
-        raise OddLength(f"length {u.n} is odd")
-    n = u.n // 2
-    return DualQuaternionVector(
-        u.st[:n], -u.st[n:].conj(), u.du[:n], -u.du[n:].conj()
-    )
+def vec_map_f(v):
+    """F of the parts (v1, v2, v3, v4) of a dual quaternion vector, or of the
+    columns of n x k parts: (st, du) = ((v1, -conj(v2)), (v3, -conj(v4)))
+    stacked along the first axis."""
+    v1, v2, v3, v4 = v
+    return np.concatenate([v1, -v2.conj()]), np.concatenate([v3, -v4.conj()])
 
 
-def vec_map_h(u: DualComplexVector) -> DualComplexVector:
+def vec_map_f_inverse(u):
+    """Inverse of F: the parts (v1, v2, v3, v4) of the (st, du) pair u of
+    even length 2n. v1 and v3 are views of u."""
+    st, du = u
+    n = _half(u)
+    return st[:n], -st[n:].conj(), du[:n], -du[n:].conj()
+
+
+def vec_map_h(u):
     """H: per part, (u_top, u_bot) -> (conj(u_bot), -conj(u_top)).
 
     H(F(v)) equals F(v * j), and H(H(u)) = -u.
     """
-    if u.n % 2:
-        raise OddLength(f"length {u.n} is odd")
-    n = u.n // 2
-    return DualComplexVector(
-        np.concatenate([u.st[n:].conj(), -u.st[:n].conj()]),
-        np.concatenate([u.du[n:].conj(), -u.du[:n].conj()]),
-    )
+    n = _half(u)
+    return tuple(np.concatenate([a[n:].conj(), -a[:n].conj()]) for a in u)

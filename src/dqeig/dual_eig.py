@@ -36,12 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import adjoint
+from .adjoint import adjoint, vec_map_f_inverse
 from .errors import ClusterInstability, NotAnEigenvector, NotHermitian
 from .hermitian_eig import _clusters, _run_means, _runs, eig_hermitian
 from .matrices import (
-    DualComplexMatrix, DualQuaternionMatrix, DualQuaternionVector, _dc_mul, _dq_mul,
-    _dual_norm, _eig_residual, _norm_2r, _scale_dual, _sumsq, _unit_rows,
+    DualQuaternionMatrix, DualQuaternionVector, _dc_mul, _dq_mul, _dual_norm,
+    _eig_residual, _norm_2r, _scale_dual, _sumsq, _unit_rows,
 )
 from .scalars import DualNumber
 
@@ -51,8 +51,8 @@ __all__ = ["DualEigenDecomposition", "EigenResult", "eig_dual_complex_hermitian"
 @dataclass(frozen=True, eq=False)
 class DualEigenDecomposition:
     """Unitary dual complex U_hat = u_st + u_du eps and the diagonal sigma of
-    dual numbers lam + mu eps, kept as read-only arrays; u_hat and sigma build
-    the objects when asked."""
+    dual numbers lam + mu eps, kept as read-only arrays; sigma builds the
+    DualNumber objects when asked."""
 
     lam: np.ndarray
     mu: np.ndarray
@@ -62,10 +62,6 @@ class DualEigenDecomposition:
     def __post_init__(self):
         for a in (self.lam, self.mu, self.u_st, self.u_du):
             a.setflags(write=False)
-
-    @property
-    def u_hat(self) -> DualComplexMatrix:
-        return DualComplexMatrix._wrap(self.u_st, self.u_du)
 
     @property
     def sigma(self) -> tuple:
@@ -102,21 +98,33 @@ def _check_tol(**tols) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _check_hermitian(m) -> None:
-    """NotHermitian unless the dual quaternion or dual complex matrix m is
-    square and Hermitian within 1e-10 * max(1, its largest entry)."""
-    if m.rows != m.cols:
-        raise NotHermitian(f"matrix is not square: {m.shape}")
-    scale = max(1.0, *(float(np.abs(a).max(initial=0.0)) for a in m._parts))
-    if not m.is_hermitian(1e-10 * scale):
+def _check_square(shape) -> None:
+    if shape[0] != shape[1]:
+        raise NotHermitian(f"matrix is not square: {shape}")
+
+
+def _check_hermitian(parts) -> None:
+    """NotHermitian unless the matrix with these parts is square and Hermitian
+    within 1e-10 * max(1, its largest entry), part by part. The parts are
+    (a1, a2, a3, a4) of a dual quaternion matrix Q, where Q = Q* reads
+    A1 = A1^H, A2 = -A2^T, A3 = A3^H and A4 = -A4^T, or (st, du) of a dual
+    complex matrix, where both parts are Hermitian. The differences of the
+    adjoint of Q are those of Q up to sign and conjugation, so a gate on
+    either decides alike."""
+    _check_square(parts[0].shape)
+    tol = 1e-10 * max(1.0, *(float(np.abs(a).max(initial=0.0)) for a in parts))
+    flips = (np.conj, np.negative) * 2 if len(parts) == 4 else (np.conj, np.conj)
+    if not all(np.abs(a - f(a).T).max(initial=0.0) <= tol for a, f in zip(parts, flips)):
         raise NotHermitian("matrix is not Hermitian within 1e-10 of its largest entry")
 
 
-def eig_dual_complex_hermitian(p: DualComplexMatrix, tol_group=1e-8) -> DualEigenDecomposition:
-    """Eigendecomposition of a dual complex Hermitian matrix."""
+def eig_dual_complex_hermitian(p, tol_group=1e-8) -> DualEigenDecomposition:
+    """Eigendecomposition of the dual complex Hermitian matrix p, the pair
+    (st, du) of its square parts."""
     _check_tol(tol_group=tol_group)
     _check_hermitian(p)
-    base = eig_hermitian(p.st)
+    st, du = p
+    base = eig_hermitian(st)
     values, counts = _clusters(base.values, tol_group)
     scale = max(1.0, abs(values[0]), abs(values[-1])) if values.size else 1.0
     gaps = values[:-1] - values[1:]
@@ -126,7 +134,7 @@ def eig_dual_complex_hermitian(p: DualComplexMatrix, tol_group=1e-8) -> DualEige
                                  "dual coupling entries would blow up")
 
     u = base.vectors
-    p2 = u.conj().T @ p.du @ u
+    p2 = u.conj().T @ du @ u
 
     # diagonalize the diagonal blocks of the rotated dual part, all blocks of
     # one size in one batched eigh
@@ -269,12 +277,12 @@ def eddcam_ea(
     of every column -> orthogonalize each group on the adjoint side. Each
     group of adjoint multiplicity t yields exactly t/2 eigenvectors.
 
-    The Hermitian gate runs once, on the adjoint in the decomposition: its
-    entries are those of Q's parts up to sign and conjugation, so it decides
-    as a gate on Q would, and a non-square or non-Hermitian Q raises
-    NotHermitian there.
+    A non-square Q raises NotHermitian with Q's shape. The Hermitian gate
+    runs once, on the adjoint in the decomposition: its entries are those of
+    Q's parts up to sign and conjugation, so it decides as a gate on Q would.
     """
     _check_tol(tol_group=tol_group, tol_rank=tol_rank)
+    _check_square(q.shape)
     dec = eig_dual_complex_hermitian(adjoint(q), tol_group)
     n = q.rows
     if n == 0:
@@ -289,7 +297,7 @@ def eddcam_ea(
     lam_st, lam_du = _run_means(st, starts, sizes), _run_means(du, starts, sizes)
 
     # F^-1 of every column of U_hat at once, and every candidate checked
-    cand = (s[:n], -s[n:].conj(), d[:n], -d[n:].conj())
+    cand = vec_map_f_inverse((s, d))
     _check_eigenvectors(q, cand, np.repeat(lam_st, sizes), np.repeat(lam_du, sizes))
 
     # A group of adjoint multiplicity 2 is one eigenvector and its H-partner:

@@ -1,4 +1,5 @@
-"""Dense matrices and vectors over dual quaternions and dual complex numbers.
+"""Dense dual quaternion matrices and vectors, and the array kernels of both
+algebras the solvers run on.
 
 Dual quaternion objects are stored as complex pairs: a quaternion entry
 w + x*i + y*j + z*k is kept as (a, b) = (w + x*i, y + z*i) with value a + b*j.
@@ -10,13 +11,14 @@ arithmetic run on complex ndarrays:
     (A + B j)^*        = (conj(A)^T, -B^T)
 
 Each dual-algebra formula is written once, as a kernel over raw parts: a
-dual quaternion array is the parts (a1, a2, a3, a4) and a dual complex one
-the parts (st, du), so the first half of the parts is the standard part and
-the second half the dual part. The parts are a tuple of arrays, or one array
-that stacks them along its first axis: the power loops keep each vector as
-one (4, n) or (2, n) array, and the dual-number scaling, the normalization
-and both products take and return that layout. The object methods are thin
-wrappers over these kernels, and the solvers' hot paths call them on bare
+dual quaternion array is the parts (a1, a2, a3, a4) and a dual complex one,
+the adjoint side, the parts (st, du), so the first half of the parts is the
+standard part and the second half the dual part. The parts are a tuple of
+arrays, or one array that stacks them along its first axis: the power loops
+keep each vector as one (4, n) or (2, n) array, and the dual-number scaling,
+the normalization and both products take and return that layout. The dual
+quaternion object methods are thin wrappers over these kernels; the adjoint
+side has no objects, and the solvers' hot paths call the kernels on bare
 arrays.
 
 The dual norm |x| = st + du eps has st^2 = |s|^2 and st du = Re<s, d> for
@@ -31,13 +33,11 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroVector
-from .scalars import DualNumber, DualComplex, DualQuaternion, Quaternion
+from .scalars import DualNumber, DualQuaternion, Quaternion
 
 __all__ = [
     "DualQuaternionMatrix",
     "DualQuaternionVector",
-    "DualComplexMatrix",
-    "DualComplexVector",
     "random_unit_vector",
 ]
 
@@ -239,12 +239,6 @@ class DualQuaternionMatrix:
         return cls(e, z, z, z)
 
     @classmethod
-    def from_real(cls, arr) -> "DualQuaternionMatrix":
-        a = np.asarray(arr, dtype=float)
-        z = np.zeros_like(a, dtype=np.complex128)
-        return cls(a.astype(np.complex128), z, z, z)
-
-    @classmethod
     def from_entries(cls, rows) -> "DualQuaternionMatrix":
         """Build from a nested list of DualQuaternion entries (row major)."""
         r = len(rows)
@@ -284,9 +278,6 @@ class DualQuaternionMatrix:
             Quaternion.from_complex_pair(complex(self.a1[i, j]), complex(self.a2[i, j])),
             Quaternion.from_complex_pair(complex(self.a3[i, j]), complex(self.a4[i, j])),
         )
-
-    def column(self, j: int) -> "DualQuaternionVector":
-        return DualQuaternionVector(self.a1[:, j], self.a2[:, j], self.a3[:, j], self.a4[:, j])
 
     # -- algebra ------------------------------------------------------------
 
@@ -411,19 +402,10 @@ class DualQuaternionVector:
     def n(self) -> int:
         return self.v1.shape[0]
 
-    @property
-    def appreciable(self) -> bool:
-        return bool(np.any(self.v1) or np.any(self.v2))
-
     def entry(self, i: int) -> DualQuaternion:
         return DualQuaternion(
             Quaternion.from_complex_pair(complex(self.v1[i]), complex(self.v2[i])),
             Quaternion.from_complex_pair(complex(self.v3[i]), complex(self.v4[i])),
-        )
-
-    def as_column(self) -> DualQuaternionMatrix:
-        return DualQuaternionMatrix(
-            self.v1[:, None], self.v2[:, None], self.v3[:, None], self.v4[:, None]
         )
 
     def __add__(self, other):
@@ -483,177 +465,6 @@ class DualQuaternionVector:
     def unit(self) -> "DualQuaternionVector":
         """Projection onto unit 2-norm vectors (degenerate branch: zero dual part)."""
         return DualQuaternionVector(*_unit(np.stack(self._parts)))
-
-
-class DualComplexMatrix:
-    """Dense dual complex matrix st + du*eps."""
-
-    __slots__ = ("st", "du")
-
-    def __init__(self, st, du=None):
-        st = _carr(st, 2)
-        du = np.zeros_like(st) if du is None else _carr(du, 2)
-        if st.shape != du.shape:
-            raise DimensionMismatch("parts must share one shape")
-        self.st, self.du = _freeze(st, du)
-
-    @classmethod
-    def _wrap(cls, st, du) -> "DualComplexMatrix":
-        """Wrap two freshly built complex 2-d arrays of one shape without
-        copying them; they are made read-only and must not be written to
-        afterwards through any other name."""
-        st.setflags(write=False)
-        du.setflags(write=False)
-        m = cls.__new__(cls)
-        m.st, m.du = st, du
-        return m
-
-    @classmethod
-    def identity(cls, n: int) -> "DualComplexMatrix":
-        return cls(np.eye(n, dtype=np.complex128))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "DualComplexMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.complex128))
-
-    @property
-    def _parts(self):
-        return self.st, self.du
-
-    @property
-    def shape(self):
-        return self.st.shape
-
-    @property
-    def rows(self) -> int:
-        return self.st.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.st.shape[1]
-
-    def entry(self, i: int, j: int) -> DualComplex:
-        return DualComplex(complex(self.st[i, j]), complex(self.du[i, j]))
-
-    def column(self, j: int) -> "DualComplexVector":
-        return DualComplexVector(self.st[:, j], self.du[:, j])
-
-    def __add__(self, other):
-        return DualComplexMatrix(self.st + other.st, self.du + other.du)
-
-    def __sub__(self, other):
-        return DualComplexMatrix(self.st - other.st, self.du - other.du)
-
-    def __neg__(self):
-        return DualComplexMatrix(-self.st, -self.du)
-
-    def __mul__(self, s):
-        if isinstance(s, (int, float, complex)):
-            return DualComplexMatrix(self.st * s, self.du * s)
-        if isinstance(s, DualNumber):
-            return DualComplexMatrix(*_scale_dual(self._parts, s.st, s.du))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        if isinstance(other, DualComplexMatrix):
-            if self.cols != other.rows:
-                raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-            return DualComplexMatrix(*_dc_mul(self._parts, other._parts))
-        if isinstance(other, DualComplexVector):
-            if self.cols != other.n:
-                raise DimensionMismatch(f"{self.shape} @ vector of length {other.n}")
-            return DualComplexVector(*_dc_mul(self._parts, other._parts))
-        return NotImplemented
-
-    def conj_transpose(self) -> "DualComplexMatrix":
-        return DualComplexMatrix(self.st.conj().T, self.du.conj().T)
-
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return (
-            np.abs(self.st - self.st.conj().T).max(initial=0.0) <= tol
-            and np.abs(self.du - self.du.conj().T).max(initial=0.0) <= tol
-        )
-
-    def max_abs_diff(self, other) -> float:
-        return max(
-            np.abs(self.st - other.st).max(initial=0.0),
-            np.abs(self.du - other.du).max(initial=0.0),
-        )
-
-    def norm_f(self) -> DualNumber:
-        return DualNumber(*_dual_norm(self._parts))
-
-    def norm_fr(self) -> float:
-        return float(_norm_2r(self._parts))
-
-
-class DualComplexVector:
-    """Column vector of dual complex numbers."""
-
-    __slots__ = ("st", "du")
-
-    def __init__(self, st, du=None):
-        st = _carr(st, 1)
-        du = np.zeros_like(st) if du is None else _carr(du, 1)
-        if st.shape != du.shape:
-            raise DimensionMismatch("parts must share one length")
-        self.st, self.du = _freeze(st, du)
-
-    @property
-    def _parts(self):
-        return self.st, self.du
-
-    @property
-    def n(self) -> int:
-        return self.st.shape[0]
-
-    def entry(self, i: int) -> DualComplex:
-        return DualComplex(complex(self.st[i]), complex(self.du[i]))
-
-    def __add__(self, other):
-        return DualComplexVector(self.st + other.st, self.du + other.du)
-
-    def __sub__(self, other):
-        return DualComplexVector(self.st - other.st, self.du - other.du)
-
-    def __neg__(self):
-        return DualComplexVector(-self.st, -self.du)
-
-    def __mul__(self, s):
-        if isinstance(s, (int, float, complex)):
-            return DualComplexVector(self.st * s, self.du * s)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "DualComplexVector":
-        """Multiply by a dual number or dual complex scalar."""
-        return DualComplexVector(*_scale_dual(self._parts, c.st, c.du))
-
-    def dot(self, other: "DualComplexVector") -> DualComplex:
-        """conj(self)^T other."""
-        return DualComplex(
-            complex(np.vdot(self.st, other.st)),
-            complex(np.vdot(self.st, other.du) + np.vdot(self.du, other.st)),
-        )
-
-    def outer(self, other: "DualComplexVector") -> DualComplexMatrix:
-        """self @ conj(other)^T."""
-        return DualComplexMatrix(
-            np.outer(self.st, np.conj(other.st)),
-            np.outer(self.st, np.conj(other.du)) + np.outer(self.du, np.conj(other.st)),
-        )
-
-    def norm_2(self) -> DualNumber:
-        return DualNumber(*_dual_norm(self._parts))
-
-    def norm_2r(self) -> float:
-        return float(_norm_2r(self._parts))
-
-    def unit(self) -> "DualComplexVector":
-        return DualComplexVector(*_unit(np.stack(self._parts)))
 
 
 def random_unit_vector(n: int, rng: np.random.Generator) -> DualQuaternionVector:

@@ -14,15 +14,15 @@ come from one of two per-algebra tables:
   This is plain dual quaternion arithmetic, the cost baseline of
   power_method_baseline and power_method_spectrum.
 - _Adjoint iterates on the rows st, du (h = 1) of a dual complex vector
-  against the adjoint matrix, built once by adjoint(). dcam_pm, adcam_pm
-  and dcama_pm run on it; adcam_pm adds the Aitken step, which extrapolates
-  the last three eigenvalue and eigenvector iterates once the raw residual
-  passes a trigger threshold.
+  against the (st, du) arrays of the adjoint matrix, built once by
+  adjoint(). dcam_pm, adcam_pm and dcama_pm run on it; adcam_pm adds the
+  Aitken step, which extrapolates the last three eigenvalue and eigenvector
+  iterates once the raw residual passes a trigger threshold.
 
 One deflation driver, _deflate, extracts all eigenpairs with either table:
 power_method_spectrum subtracts lam v v^* from Q, dcama_pm subtracts
-lam (u u^* + Hu Hu^*) from the adjoint. The immutable matrix and vector
-objects are built only on entry to and exit from each power loop. The
+lam (u u^* + Hu Hu^*) from the adjoint. The immutable dual quaternion
+vectors are built only on entry to and exit from each power loop. The
 single-pair solvers have the loop record every step as packed floats and
 build their IterTrace from them after the loop; the deflation driver, which
 reads only the iteration count and the convergence flag, records nothing.
@@ -45,8 +45,6 @@ from .adjoint import adjoint, vec_map_f, vec_map_f_inverse, vec_map_h
 from .dual_eig import EigenResult
 from .errors import InnerNoConvergence
 from .matrices import (
-    DualComplexMatrix,
-    DualComplexVector,
     DualQuaternionMatrix,
     DualQuaternionVector,
     _dc_mul,
@@ -54,6 +52,7 @@ from .matrices import (
     _dq_stack,
     _eig_residual,
     _norm_2r,
+    _scale_dual,
     _unit,
     random_unit_vector,
 )
@@ -128,18 +127,18 @@ def pair_residual(q: DualQuaternionMatrix, lam: DualNumber, v: DualQuaternionVec
 
 # -- per-algebra tables ---------------------------------------------------------
 #
-# The adjoint matvec and the normalization are the matrices kernels the
-# objects' own methods wrap, so the adjoint iterates match the object
-# arithmetic bit for bit: the Aitken step amplifies ulp-level differences in
-# its three iterates by about 1/(1 - r)^2 for a convergence ratio r. On the
-# stacked layout _unit takes the dual norm from two BLAS dots over the
-# flattened standard and dual halves, the same two dots every object's
-# normalization takes. The Rayleigh quotient and the residual feed no iterate
-# of the loop; the residual is one BLAS dot of the whole stacked difference
-# with itself. The dual quaternion table has no Aitken step, so it multiplies
-# its four rows as one batch on its matrix stacked once by _dq_stack and
-# takes its Rayleigh quotient from one 4 x 4 Gram product, which changes only
-# the summation order.
+# The adjoint matvec and the normalization are the matrices kernels _dc_mul
+# and _unit, so the adjoint iterates match any other use of those kernels bit
+# for bit: the Aitken step amplifies ulp-level differences in its three
+# iterates by about 1/(1 - r)^2 for a convergence ratio r. On the stacked
+# layout _unit takes the dual norm from two BLAS dots over the flattened
+# standard and dual halves, the same two dots the normalization of a
+# DualQuaternionVector takes. The Rayleigh quotient and the residual feed no
+# iterate of the loop; the residual is one BLAS dot of the whole stacked
+# difference with itself. The dual quaternion table has no Aitken step, so
+# it multiplies its four rows as one batch on its matrix stacked once by
+# _dq_stack and takes its Rayleigh quotient from one 4 x 4 Gram product,
+# which changes only the summation order.
 
 
 def _residual(x, y, st, du) -> float:
@@ -157,6 +156,7 @@ class _Quaternion:
 
     def __init__(self, q: DualQuaternionMatrix):
         self.matrix = q
+        self.parts = q._parts
         self.a = _dq_stack(q._parts)
 
     @staticmethod
@@ -196,22 +196,22 @@ class _Quaternion:
 
 class _Adjoint:
     """Dual complex arithmetic on the rows st, du of x, the parts of a vector
-    of length 2n, against the 2n x 2n adjoint matrix P = P1 + P2 eps."""
+    of length 2n, against the 2n x 2n adjoint matrix P = P1 + P2 eps, held
+    as the pair parts = (P1, P2)."""
 
-    def __init__(self, p: DualComplexMatrix):
-        self.matrix = p
-        self.p = p._parts
+    def __init__(self, p):
+        self.parts = p
 
     @staticmethod
     def enter(v: DualQuaternionVector):
-        return np.stack(vec_map_f(v)._parts)
+        return np.stack(vec_map_f(v._parts))
 
     @staticmethod
     def leave(x) -> DualQuaternionVector:
-        return vec_map_f_inverse(DualComplexVector(*x))
+        return DualQuaternionVector(*vec_map_f_inverse(x))
 
     def matvec(self, x):
-        return _dc_mul(self.p, x)
+        return _dc_mul(self.parts, x)
 
     @staticmethod
     def rayleigh(x, y):
@@ -222,10 +222,13 @@ class _Adjoint:
         return s.real, d.real, max(abs(s.imag), abs(d.imag))
 
     def deflated(self, x, lam: DualNumber) -> "_Adjoint":
-        """P - lam (u u^* + Hu Hu^*), which removes both adjoint copies of lam."""
-        u = DualComplexVector(*x)
-        h = vec_map_h(u)
-        return _Adjoint(self.matrix - u.outer(u) * lam - h.outer(h) * lam)
+        """(P - lam u u^*) - lam Hu Hu^*, which removes both adjoint copies of
+        lam; w w^* = (st st^*, st du^* + du st^*) for w = (st, du)."""
+        p = self.parts
+        for st, du in (x, vec_map_h(x)):
+            ww = np.outer(st, np.conj(st)), np.outer(st, np.conj(du)) + np.outer(du, np.conj(st))
+            p = p - _scale_dual(ww, lam.st, lam.du)
+        return _Adjoint(p)
 
 
 # -- the loop -------------------------------------------------------------------
@@ -352,15 +355,15 @@ def _spectrum_result(q, found, iterations):
 
 def _deflate(q: DualQuaternionMatrix, alg, cfg: PowerIterConfig, deflate_tol) -> EigenResult:
     """All eigenpairs by repeated dominant extraction and deflation of
-    alg.matrix; each inner loop restarts from the seeded random vector of
-    its pair index."""
+    the matrix alg.parts; each inner loop restarts from the seeded random
+    vector of its pair index."""
     n = q.rows
     if deflate_tol is None:
-        deflate_tol = 1e-8 * max(1.0, alg.matrix.norm_fr())
+        deflate_tol = 1e-8 * max(1.0, float(_norm_2r(alg.parts)))
     found = []
     iterations = 0
     for k in range(1, n + 1):
-        if alg.matrix.norm_fr() <= deflate_tol:
+        if float(_norm_2r(alg.parts)) <= deflate_tol:
             break
         rng = np.random.default_rng([cfg.seed, k])
         st, du, x, k_iter, converged = _power(alg, alg.enter(random_unit_vector(n, rng)), cfg)

@@ -1,4 +1,4 @@
-"""Scalar algebra: dual numbers, dual complex numbers, quaternions, dual quaternions.
+"""Scalar algebra: dual numbers, quaternions, dual quaternions.
 
 All types are immutable value objects. The nilpotent rule eps**2 = 0 is
 structural: no product ever produces a second-order dual term.
@@ -11,10 +11,8 @@ from .errors import DivisionUndefined, NotAppreciable, NotInvertible, ZeroInput
 
 __all__ = [
     "DualNumber",
-    "DualComplex",
     "Quaternion",
     "DualQuaternion",
-    "compare",
     "project_unit_dual_quaternion",
 ]
 
@@ -25,10 +23,6 @@ class DualNumber:
 
     st: float = 0.0
     du: float = 0.0
-
-    @property
-    def appreciable(self) -> bool:
-        return self.st != 0.0
 
     def __add__(self, other):
         other = _as_dual(other)
@@ -79,8 +73,14 @@ class DualNumber:
 
     # lexicographic total order: standard part first, then dual part
     def _cmp(self, other):
+        """-1, 0 or 1, or None when other is not a real or dual number."""
         other = _as_dual(other)
-        return None if other is None else compare(self, other)
+        if other is None:
+            return None
+        for a, b in ((self.st, other.st), (self.du, other.du)):
+            if a != b:
+                return -1 if a < b else 1
+        return 0
 
     def __lt__(self, other):
         c = self._cmp(other)
@@ -108,45 +108,6 @@ def _as_dual(x):
     if isinstance(x, (int, float)):
         return DualNumber(float(x), 0.0)
     return None
-
-
-def compare(a: DualNumber, b: DualNumber) -> int:
-    """Total order on dual numbers: -1, 0, or 1."""
-    if a.st != b.st:
-        return -1 if a.st < b.st else 1
-    if a.du != b.du:
-        return -1 if a.du < b.du else 1
-    return 0
-
-
-@dataclass(frozen=True)
-class DualComplex:
-    """Dual complex number st + du*eps with complex parts."""
-
-    st: complex = 0j
-    du: complex = 0j
-
-    @property
-    def appreciable(self) -> bool:
-        return self.st != 0j
-
-    def conjugate(self) -> "DualComplex":
-        return DualComplex(self.st.conjugate(), self.du.conjugate())
-
-    def __add__(self, other):
-        return DualComplex(self.st + other.st, self.du + other.du)
-
-    def __sub__(self, other):
-        return DualComplex(self.st - other.st, self.du - other.du)
-
-    def __neg__(self):
-        return DualComplex(-self.st, -self.du)
-
-    def __mul__(self, other):
-        return DualComplex(self.st * other.st, self.st * other.du + self.du * other.st)
-
-    def __repr__(self):
-        return f"({self.st})+({self.du})eps"
 
 
 @dataclass(frozen=True)

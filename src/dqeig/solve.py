@@ -37,7 +37,7 @@ def solve(
         raise ValueError(f"unknown algorithm {alg!r}; expected one of {', '.join(ALGORITHMS)}")
     if alg == "eddcam":
         return dual_eig.eddcam_ea(q)
-    dual_eig._check_hermitian(q)
+    dual_eig._check_hermitian(q._parts)
     if alg in ("dcam", "adcam"):
         if v0 is None:
             v0 = random_unit_vector(q.rows, np.random.default_rng(cfg.seed))

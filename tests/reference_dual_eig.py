@@ -21,7 +21,9 @@ from dqeig.adjoint import adjoint, vec_map_f_inverse
 from dqeig.dual_eig import DualEigenDecomposition, EigenResult, _check_hermitian
 from dqeig.errors import ClusterInstability, NotAnEigenvector
 from dqeig.hermitian_eig import eig_hermitian
-from dqeig.matrices import _dq_mul, _dual_norm, _norm_2r, _qmul, _scale_dual, _sumsq
+from dqeig.matrices import (
+    DualQuaternionVector, _dq_mul, _dual_norm, _norm_2r, _qmul, _scale_dual, _sumsq,
+)
 from dqeig.scalars import DualNumber
 
 
@@ -42,7 +44,8 @@ def cluster_eigenvalues(values, tol_group=1e-8):
 
 def eig_dual_complex_hermitian(p, tol_group=1e-8):
     _check_hermitian(p)
-    base = eig_hermitian(p.st)
+    st, du = p
+    base = eig_hermitian(st)
     clusters = cluster_eigenvalues(base.values, tol_group)
     scale = max(1.0, abs(clusters[0][0]), abs(clusters[-1][0])) if clusters else 1.0
     for (left, _), (right, _) in zip(clusters, clusters[1:]):
@@ -50,7 +53,7 @@ def eig_dual_complex_hermitian(p, tol_group=1e-8):
             raise ClusterInstability(f"cluster gap {left - right:.3e} below 10*tol_group")
 
     u = base.vectors
-    p2 = u.conj().T @ p.du @ u
+    p2 = u.conj().T @ du @ u
     v = np.zeros_like(u)
     mus = []
     offsets = []
@@ -170,7 +173,7 @@ def groups(sigma, tol_group=1e-8):
 
 
 def eddcam_ea(q, tol_group=1e-8, tol_rank=1e-8):
-    _check_hermitian(q)
+    _check_hermitian(q._parts)
     n = q.rows
     if n == 0:
         return EigenResult((), 0.0)
@@ -182,7 +185,8 @@ def eddcam_ea(q, tol_group=1e-8, tol_rank=1e-8):
             float(np.mean([sigma[k].st for k in range(a, b)])),
             float(np.mean([sigma[k].du for k in range(a, b)])),
         )
-        candidates = [vec_map_f_inverse(dec.u_hat.column(k)) for k in range(a, b)]
+        candidates = [DualQuaternionVector(*vec_map_f_inverse((dec.u_st[:, k], dec.u_du[:, k])))
+                      for k in range(a, b)]
         vecs = orthogonalize_eigenvectors(candidates, q, lam, tol_rank)
         pairs.append((lam, tuple(_canonical_phase(v) for v in vecs)))
     total = sum(len(vecs) for _, vecs in pairs)

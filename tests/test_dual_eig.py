@@ -20,8 +20,9 @@ from dqeig.dual_eig import (
     eig_dual_complex_hermitian,
 )
 from dqeig.errors import ClusterInstability, NotAnEigenvector, NotHermitian
-from dqeig.matrices import DualComplexMatrix, DualQuaternionMatrix, DualQuaternionVector
+from dqeig.matrices import DualQuaternionMatrix, DualQuaternionVector, _dc_mul, _norm_2r
 from dqeig.scalars import DualNumber, DualQuaternion, Quaternion
+from tests.test_adjoint import dc_conj_t, dc_eye, max_abs_diff
 
 
 def orthogonalize(vs, q, lam, tol_rank=1e-8):
@@ -37,10 +38,10 @@ def orthogonalize(vs, q, lam, tol_rank=1e-8):
 
 
 def dual_diag(entries):
-    """Diagonal dual complex matrix from (st, du) pairs."""
+    """Diagonal dual complex matrix (st, du) from (st, du) pairs."""
     st = np.diag([complex(a) for a, _ in entries])
     du = np.diag([complex(b) for _, b in entries])
-    return DualComplexMatrix(st, du)
+    return st, du
 
 
 def dq_diag(entries):
@@ -52,15 +53,18 @@ def dq_diag(entries):
     )
 
 
+def rotated(p, dec):
+    """U_hat^* P U_hat as the pair (st, du)."""
+    u = dec.u_st, dec.u_du
+    return _dc_mul(_dc_mul(dc_conj_t(u), p), u)
+
+
 def assert_decomposition_valid(p, dec, tol=1e-9):
-    u, sigma = dec.u_hat, dec.sigma
-    n = p.rows
-    scale = max(1.0, p.norm_fr())
-    ident = DualComplexMatrix.identity(n)
-    assert (u.conj_transpose() @ u).max_abs_diff(ident) <= tol * scale
-    d = u.conj_transpose() @ p @ u
+    u, sigma = (dec.u_st, dec.u_du), dec.sigma
+    scale = max(1.0, _norm_2r(p))
+    assert max_abs_diff(_dc_mul(dc_conj_t(u), u), dc_eye(len(p[0]))) <= tol * scale
     target = dual_diag([(s.st, s.du) for s in sigma])
-    assert d.max_abs_diff(target) <= tol * scale
+    assert max_abs_diff(rotated(p, dec), target) <= tol * scale
 
 
 class TestDualComplexEigendecomposition:
@@ -69,8 +73,8 @@ class TestDualComplexEigendecomposition:
         dec = eig_dual_complex_hermitian(p)
         assert [(s.st, s.du) for s in dec.sigma] == [(2, 1), (2, 1), (1, 3), (1, 3)]
         # the transform reduces to a within-cluster permutation of the identity
-        assert np.all(np.isin(np.round(np.abs(dec.u_hat.st), 12), [0.0, 1.0]))
-        assert not dec.u_hat.du.any()
+        assert np.all(np.isin(np.round(np.abs(dec.u_st), 12), [0.0, 1.0]))
+        assert not dec.u_du.any()
         assert_decomposition_valid(p, dec, tol=1e-14)
 
     def test_pentagon_adjoint_doubles_each_eigenvalue(self):
@@ -106,12 +110,12 @@ class TestDualComplexEigendecomposition:
         for _ in range(25):
             p = adjoint(random_hermitian(4, rng))
             dec = eig_dual_complex_hermitian(p)
-            du = (dec.u_hat.conj_transpose() @ p @ dec.u_hat).du
+            du = rotated(p, dec)[1]
             off = du - np.diag(np.diag(du))
-            assert np.abs(off).max() <= 1e-10 * max(1.0, p.norm_fr())
+            assert np.abs(off).max() <= 1e-10 * max(1.0, _norm_2r(p))
 
     def test_rejects_non_hermitian(self):
-        bad = DualComplexMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), np.zeros((2, 2), dtype=complex)
         with pytest.raises(NotHermitian):
             eig_dual_complex_hermitian(bad)
 
@@ -307,7 +311,7 @@ class TestEddcamEa:
             q = DualQuaternionMatrix(*parts)
             on_q = on_adjoint = True
             try:
-                _check_hermitian(q)
+                _check_hermitian(q._parts)
             except NotHermitian:
                 on_q = False
             try:
@@ -378,7 +382,5 @@ def test_decomposition_holds_read_only_arrays():
     dec = eig_dual_complex_hermitian(p)
     for a in (dec.lam, dec.mu, dec.u_st, dec.u_du):
         assert not a.flags.writeable
-    u = dec.u_hat
-    assert np.shares_memory(u.st, dec.u_st) and np.shares_memory(u.du, dec.u_du)
     assert [(s.st, s.du) for s in dec.sigma] == list(zip(dec.lam.tolist(), dec.mu.tolist()))
     assert_decomposition_valid(p, dec)

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from dqeig import dual_eig
-from dqeig.adjoint import adjoint
+from dqeig.adjoint import adjoint, vec_map_f, vec_map_f_inverse
 from dqeig.bench import build_laplacian, pentagon_fixture, random_graph, synth_known_spectrum
 from dqeig.errors import DQEigError, NotAnEigenvector
 from dqeig.matrices import DualQuaternionVector, _dq_mul, _unit_rows
@@ -73,17 +73,6 @@ def conj_t(x):
     return (x[0].conj().T, -x[1].T, x[2].conj().T, -x[3].T)
 
 
-def f_map(x):
-    """F of every column of a part tuple of n x k dual quaternion arrays."""
-    return np.concatenate([x[0], -x[1].conj()]), np.concatenate([x[2], -x[3].conj()])
-
-
-def f_inverse(x):
-    """F^-1 of every column of a (st, du) tuple of 2n x k arrays."""
-    n = len(x[0]) // 2
-    return x[0][:n], -x[0][n:].conj(), x[1][:n], -x[1][n:].conj()
-
-
 def max_abs(parts):
     return max(float(np.abs(a).max()) for a in parts)
 
@@ -94,8 +83,8 @@ def test_eddcam_is_bit_identical_to_the_object_gram_schmidt(name, q):
     got_dec = dual_eig.eig_dual_complex_hermitian(adjoint(q))
     want_dec = ref.eig_dual_complex_hermitian(adjoint(q))
     assert [lam_bits(s) for s in got_dec.sigma] == [lam_bits(s) for s in want_dec.sigma]
-    for part in ("st", "du"):
-        assert getattr(got_dec.u_hat, part).tobytes() == getattr(want_dec.u_hat, part).tobytes()
+    for part in ("u_st", "u_du"):
+        assert getattr(got_dec, part).tobytes() == getattr(want_dec, part).tobytes()
 
     got, want = dual_eig.eddcam_ea(q), ref.eddcam_ea(q)
     assert [lam_bits(lam) for lam, _ in got.pairs] == [lam_bits(lam) for lam, _ in want.pairs]
@@ -138,6 +127,26 @@ def test_problems_include_connected_and_paired_spectra_at_n150():
 
 
 @pytest.mark.parametrize("name", ["pentagon", "laplacian-0.1#0", "laplacian-n60-0.02"])
+def test_candidates_are_the_per_column_f_inverse(name, monkeypatch):
+    # eddcam_ea maps every column of U_hat back with one vec_map_f_inverse
+    # of the whole stack, which must give each column's F^-1 byte for byte
+    q = dict(PROBLEMS)[name]
+    seen = []
+
+    def spy(u):
+        seen.append(vec_map_f_inverse(u))
+        return seen[-1]
+
+    monkeypatch.setattr(dual_eig, "vec_map_f_inverse", spy)
+    dual_eig.eddcam_ea(q)
+    (cand,) = seen
+    dec = dual_eig.eig_dual_complex_hermitian(adjoint(q))
+    for k in range(2 * q.rows):
+        column = vec_map_f_inverse((dec.u_st[:, k], dec.u_du[:, k]))
+        assert [a[:, k].tobytes() for a in cand] == [a.tobytes() for a in column]
+
+
+@pytest.mark.parametrize("name", ["pentagon", "laplacian-0.1#0", "laplacian-n60-0.02"])
 def test_returned_vectors_are_read_only(name):
     for v in dual_eig.eddcam_ea(dict(PROBLEMS)[name]).eigenvectors():
         for a in v._parts:
@@ -175,7 +184,8 @@ def test_a_second_candidate_is_redundant_only_on_the_line_of_the_first():
     (_, (v,)), (_, (w,)) = dual_eig.eddcam_ea(q).pairs[:2]
     j = DualQuaternion(Quaternion(0.0, 0.0, 1.0, 0.0), Quaternion())
     x, y = stacked([v, v]), stacked([v.scale_right(j), w])
-    redundant = dual_eig._redundant_partner(f_map(x)[0].T, tuple(a.T for a in f_map(y)), 1e-8)
+    fy = tuple(a.T for a in vec_map_f(y))
+    redundant = dual_eig._redundant_partner(vec_map_f(x)[0].T, fy, 1e-8)
     assert redundant.tolist() == ref.redundant_second(x, y).tolist() == [True, False]
 
 
@@ -200,7 +210,7 @@ def test_large_groups_include_the_zero_group_of_a_sparse_n200_laplacian():
 
 @pytest.mark.parametrize("name,x", LARGE_GROUPS, ids=[name for name, _ in LARGE_GROUPS])
 def test_adjoint_gram_schmidt_spans_the_dual_quaternion_reference(name, x):
-    got_rows, want_rows = dual_eig._gram_schmidt(x, 1e-8), ref.gram_schmidt(f_inverse(x))
+    got_rows, want_rows = dual_eig._gram_schmidt(x, 1e-8), ref.gram_schmidt(vec_map_f_inverse(x))
     # the first kept vector is normalised as _unit normalises it
     assert [a[0].tobytes() for a in got_rows] == [a[0].tobytes() for a in want_rows]
     got, want = tuple(a.T for a in got_rows), tuple(a.T for a in want_rows)

@@ -9,7 +9,6 @@ from dqeig.scalars import (
     DualNumber,
     DualQuaternion,
     Quaternion,
-    compare,
     project_unit_dual_quaternion,
 )
 
@@ -24,6 +23,11 @@ def q(*c):
 
 def dq(st_c, du_c=(0, 0, 0, 0)):
     return DualQuaternion(Quaternion(*st_c), Quaternion(*du_c))
+
+
+def order(a, b):
+    """(a < b, a <= b, a > b, a >= b)."""
+    return a < b, a <= b, a > b, a >= b
 
 
 def assert_quat_close(a, b, tol=1e-12):
@@ -65,22 +69,23 @@ class TestDualNumber:
         assert r == DualNumber(0.0, 0.0)
 
     def test_compare_standard_part_dominates(self):
-        assert compare(DualNumber(1, 0), DualNumber(0, 100)) == 1
+        assert order(DualNumber(1, 0), DualNumber(0, 100)) == (False, False, True, True)
 
     def test_compare_dual_part_breaks_ties(self):
-        assert compare(DualNumber(2, 1), DualNumber(2, 3)) == -1
+        assert order(DualNumber(2, 1), DualNumber(2, 3)) == (True, True, False, False)
 
     def test_compare_equal(self):
-        assert compare(DualNumber(5, 5), DualNumber(5, 5)) == 0
+        assert order(DualNumber(5, 5), DualNumber(5, 5)) == (False, True, False, True)
 
     @given(duals, duals)
     def test_order_antisymmetric(self, a, b):
-        assert compare(a, b) == -compare(b, a)
+        lt, le, gt, ge = order(a, b)
+        assert order(b, a) == (gt, ge, lt, le)
 
     @given(duals, duals, duals)
     def test_order_transitive(self, a, b, c):
-        if compare(a, b) <= 0 and compare(b, c) <= 0:
-            assert compare(a, c) <= 0
+        if a <= b and b <= c:
+            assert a <= c
 
     @given(duals, duals)
     def test_reciprocal_division_consistency(self, a, b):

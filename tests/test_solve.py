@@ -123,3 +123,23 @@ def test_only_solve_catches_inner_no_convergence():
                 if "InnerNoConvergence" in _names(node.type):
                     catching.add(path.name)
     assert catching == {"solve.py"}
+
+
+@pytest.mark.parametrize("alg", ALGORITHMS)
+def test_non_square_names_the_shape_of_q_for_every_algorithm(alg):
+    q = DualQuaternionMatrix(np.ones((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(NotHermitian, match=r"^matrix is not square: \(2, 3\)$"):
+        solve(q, alg, CFG)
+    if alg == "eddcam":
+        with pytest.raises(NotHermitian, match=r"^matrix is not square: \(2, 3\)$"):
+            eddcam_ea(q)
+
+
+@pytest.mark.parametrize("part", range(4))
+@pytest.mark.parametrize("alg", ALGORITHMS)
+def test_a_nan_entry_fails_the_hermitian_gate_for_every_algorithm(alg, part):
+    # every part is compared on its own, so no part's NaN hides behind another's
+    parts = [a.copy() for a in random_hermitian(4, 1)._parts]
+    parts[part][0, 1] = np.nan
+    with pytest.raises(NotHermitian):
+        solve(DualQuaternionMatrix(*parts), alg, CFG)
