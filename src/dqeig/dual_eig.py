@@ -37,11 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import adjoint, vec_map_f_inverse
-from .errors import ClusterInstability, NotAnEigenvector, NotHermitian
+from .errors import ClusterInstability, DimensionMismatch, NotAnEigenvector, NotHermitian
 from .hermitian_eig import _clusters, _run_means, _runs, eig_hermitian
 from .matrices import (
-    DualQuaternionMatrix, DualQuaternionVector, _dc_mul, _dq_mul, _dual_norm,
-    _eig_residual, _norm_2r, _scale_dual, _sumsq, _unit_rows,
+    DualQuaternionMatrix, DualQuaternionVector, _carr, _dc_mul, _dq_mul, _dual_norm,
+    _eig_residual, _is_hermitian, _norm_2r, _scale_dual, _sumsq, _unit_rows,
 )
 from .scalars import DualNumber
 
@@ -104,26 +104,25 @@ def _check_square(shape) -> None:
 
 
 def _check_hermitian(parts) -> None:
-    """NotHermitian unless the matrix with these parts is square and Hermitian
-    within 1e-10 * max(1, its largest entry), part by part. The parts are
-    (a1, a2, a3, a4) of a dual quaternion matrix Q, where Q = Q* reads
-    A1 = A1^H, A2 = -A2^T, A3 = A3^H and A4 = -A4^T, or (st, du) of a dual
-    complex matrix, where both parts are Hermitian. The differences of the
-    adjoint of Q are those of Q up to sign and conjugation, so a gate on
-    either decides alike."""
+    """NotHermitian unless the matrix with these parts is square and, by
+    _is_hermitian, Hermitian within 1e-10 * max(1, its largest entry). The
+    parts are (a1, a2, a3, a4) of a dual quaternion matrix Q or (st, du) of a
+    dual complex one. The differences of the adjoint of Q are those of Q up
+    to sign and conjugation, so a gate on either decides alike."""
     _check_square(parts[0].shape)
     tol = 1e-10 * max(1.0, *(float(np.abs(a).max(initial=0.0)) for a in parts))
-    flips = (np.conj, np.negative) * 2 if len(parts) == 4 else (np.conj, np.conj)
-    if not all(np.abs(a - f(a).T).max(initial=0.0) <= tol for a, f in zip(parts, flips)):
+    if not _is_hermitian(parts, tol):
         raise NotHermitian("matrix is not Hermitian within 1e-10 of its largest entry")
 
 
 def eig_dual_complex_hermitian(p, tol_group=1e-8) -> DualEigenDecomposition:
     """Eigendecomposition of the dual complex Hermitian matrix p, the pair
-    (st, du) of its square parts."""
+    (st, du) of its parts: 2-d arrays of one shape, or DimensionMismatch."""
     _check_tol(tol_group=tol_group)
-    _check_hermitian(p)
-    st, du = p
+    st, du = (_carr(a, 2) for a in p)
+    if st.shape != du.shape:
+        raise DimensionMismatch(f"parts of shapes {st.shape} and {du.shape}")
+    _check_hermitian((st, du))
     base = eig_hermitian(st)
     values, counts = _clusters(base.values, tol_group)
     scale = max(1.0, abs(values[0]), abs(values[-1])) if values.size else 1.0

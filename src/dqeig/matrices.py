@@ -167,6 +167,15 @@ def _dual_norm(x):
     return 0.0, math.sqrt(np.vdot(d, d).real)
 
 
+def _is_hermitian(parts, tol) -> bool:
+    """Whether every entry of each square part differs from its flip by at
+    most tol in modulus, and no entry is NaN. Q = Q* reads A1 = A1^H,
+    A2 = -A2^T, A3 = A3^H and A4 = -A4^T on the parts (a1, a2, a3, a4); a
+    dual complex matrix is Hermitian when both its parts (st, du) are."""
+    flips = (np.conj, np.negative) * 2 if len(parts) == 4 else (np.conj, np.conj)
+    return all(np.abs(a - f(a).T).max(initial=0.0) <= tol for a, f in zip(parts, flips))
+
+
 def _norm_2r(x, axis=None):
     """sqrt of the sum of squared moduli over all parts; per column with axis=0."""
     return np.sqrt(sum([_sumsq(a, axis) for a in x]))
@@ -320,15 +329,8 @@ class DualQuaternionMatrix:
         )
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
-        """Whether every entry of Q - Q* is at most tol in modulus, compared
-        part by part: |A1 - A1^*|, |A2 + A2^T|, |A3 - A3^*|, |A4 + A4^T|."""
-        a1, a2, a3, a4 = self._parts
-        return max(
-            np.abs(a1 - a1.conj().T).max(initial=0.0),
-            np.abs(a2 + a2.T).max(initial=0.0),
-            np.abs(a3 - a3.conj().T).max(initial=0.0),
-            np.abs(a4 + a4.T).max(initial=0.0),
-        ) <= tol
+        """Whether every entry of Q - Q* is at most tol in modulus."""
+        return _is_hermitian(self._parts, tol)
 
     def max_abs_diff(self, other) -> float:
         return max(

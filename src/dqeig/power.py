@@ -156,8 +156,11 @@ class _Quaternion:
 
     def __init__(self, q: DualQuaternionMatrix):
         self.matrix = q
-        self.parts = q._parts
         self.a = _dq_stack(q._parts)
+
+    @property
+    def parts(self):
+        return self.matrix._parts
 
     @staticmethod
     def enter(v: DualQuaternionVector):

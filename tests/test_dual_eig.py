@@ -19,7 +19,7 @@ from dqeig.dual_eig import (
     eddcam_ea,
     eig_dual_complex_hermitian,
 )
-from dqeig.errors import ClusterInstability, NotAnEigenvector, NotHermitian
+from dqeig.errors import ClusterInstability, DimensionMismatch, NotAnEigenvector, NotHermitian
 from dqeig.matrices import DualQuaternionMatrix, DualQuaternionVector, _dc_mul, _norm_2r
 from dqeig.scalars import DualNumber, DualQuaternion, Quaternion
 from tests.test_adjoint import dc_conj_t, dc_eye, max_abs_diff
@@ -118,6 +118,16 @@ class TestDualComplexEigendecomposition:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), np.zeros((2, 2), dtype=complex)
         with pytest.raises(NotHermitian):
             eig_dual_complex_hermitian(bad)
+
+    @pytest.mark.parametrize("du", [np.zeros((2, 3)), np.zeros((3, 3)), np.zeros((2, 2, 1))],
+                             ids=["non-square", "other-size", "3-d"])
+    def test_rejects_parts_that_are_not_one_matrix_shape(self, du):
+        with pytest.raises(DimensionMismatch):
+            eig_dual_complex_hermitian((np.eye(2), du))
+
+    def test_takes_parts_as_nested_lists(self):
+        dec = eig_dual_complex_hermitian(([[2.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 3.0]]))
+        assert [(s.st, s.du) for s in dec.sigma] == [(2, 1), (1, 3)]
 
     def test_cluster_instability(self):
         # gap of 5e-8 with tol_group 1e-8: separate clusters, closer than 10x tol

@@ -12,6 +12,7 @@ from dqeig.matrices import (
     _dq_stack,
     _dual_norm,
     _eig_residual,
+    _is_hermitian,
     _norm_2r,
     _scale_dual,
     _unit,
@@ -280,13 +281,25 @@ def test_wrapped_vector_shares_its_rows():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_is_hermitian_compares_the_entries_of_q_minus_q_star(seed):
-    # the gate compares the parts directly; the numbers are those of Q - Q*
+    # the kernel the Hermitian gate calls compares the parts directly; the
+    # numbers are those of Q - Q*
     rng = np.random.default_rng(seed)
     for q in (rand_dq_matrix(5, 5, rng), rand_hermitian(5, rng)):
         q = q + q.conj_transpose() * 0.5 if seed % 2 else q
         dev = q.max_abs_diff(q.conj_transpose())
-        assert q.is_hermitian(dev)
-        assert q.is_hermitian(np.nextafter(dev, 0.0)) == (dev == 0.0)
+        assert _is_hermitian(q._parts, dev) and q.is_hermitian(dev)
+        below = np.nextafter(dev, 0.0)
+        assert _is_hermitian(q._parts, below) == q.is_hermitian(below) == (dev == 0.0)
+
+
+@pytest.mark.parametrize("part", range(4))
+def test_is_hermitian_fails_on_a_nan_in_any_part(part):
+    parts = [np.zeros((2, 2), dtype=complex) for _ in range(4)]
+    parts[part][0, 1] = np.nan
+    assert not DualQuaternionMatrix(*parts).is_hermitian()
+    # the same parts read as the dual complex pairs (a1, a2) and (a3, a4)
+    pair = part - part % 2
+    assert not _is_hermitian(parts[pair : pair + 2], 1e-10)
 
 
 def test_hermitian_quadratic_form_is_dual_number():
