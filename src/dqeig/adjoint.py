@@ -57,11 +57,11 @@ def vec_map_f(v):
 
 
 def vec_map_f_inverse(u):
-    """Inverse of F: the parts (v1, v2, v3, v4) of the (st, du) pair u of
-    even length 2n. v1 and v3 are views of u."""
+    """Inverse of F: the parts (v1, v2, v3, v4), stacked as one array, of the
+    (st, du) pair u of even length 2n."""
     st, du = u
     n = _half(u)
-    return st[:n], -st[n:].conj(), du[:n], -du[n:].conj()
+    return np.stack((st[:n], -st[n:].conj(), du[:n], -du[n:].conj()))
 
 
 def vec_map_h(u):

@@ -126,7 +126,7 @@ def build_laplacian(g: VisibilityGraph) -> DualQuaternionMatrix:
         parts[k].imag[j, i] = im
     degree = np.bincount(np.concatenate([i, j]), minlength=n)
     parts[0].real[np.arange(n), np.arange(n)] = degree
-    return DualQuaternionMatrix(*parts)
+    return DualQuaternionMatrix._of(parts)
 
 
 # Poses of the five-agent ring fixture, transcribed at four decimals. The
@@ -240,21 +240,18 @@ def synth_known_spectrum(n: int, sigma, seed):
     rng = np.random.default_rng(seed)
     g1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     g2 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    # modified Gram-Schmidt, right-looking: the columns are stored as rows,
-    # and each finished basis vector's projection leaves all later rows at once
-    x = [g1.T.copy(), g2.T.copy(), *np.zeros((2, n, n), dtype=np.complex128)]
+    # modified Gram-Schmidt, right-looking: the columns are stored as the rows
+    # of one stack of parts, and each finished basis vector's projection
+    # leaves all later rows at once
+    x = np.zeros((4, n, n), dtype=np.complex128)
+    x[0], x[1] = g1.T, g2.T
     for j in range(n):
-        v = tuple(a[j] for a in x)
-        if _dual_norm(v)[0] <= 1e-8:
+        if _dual_norm(x[:, j])[0] <= 1e-8:
             raise DegenerateRandomDraw("random columns were numerically dependent")
-        u = _unit(np.stack(v))
-        for a, b in zip(x, u):
-            a[j] = b
-        rest = tuple(a[j + 1 :] for a in x)
-        coef = tuple(c[:, None] for c in _dq_dot(u, rest))
-        for a, b in zip(rest, _dq_mul(u, coef, np.multiply)):
-            a -= b
-    vmat = DualQuaternionMatrix(np.ascontiguousarray(x[0].T), np.ascontiguousarray(x[1].T))
+        u = x[:, j] = _unit(x[:, j])
+        rest = x[:, j + 1 :]
+        rest -= _dq_mul(u, _dq_dot(u, rest)[:, :, None], np.multiply)
+    vmat = DualQuaternionMatrix(x[0].T, x[1].T)
     diag = DualQuaternionMatrix(
         np.diag([s.st for s in sigma]).astype(np.complex128),
         np.zeros((n, n), dtype=np.complex128),

@@ -51,10 +51,11 @@ def load_matrix(path: str) -> DualQuaternionMatrix:
     if not isinstance(doc, dict) or doc.get("format") != "dqh-1":
         raise ParseError("missing or unknown format tag (expected 'dqh-1')")
     try:
-        n = int(doc["n"])
-        entries = doc["entries"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        n, entries = doc["n"], doc["entries"]
+    except KeyError as exc:
         raise ParseError(f"malformed matrix document: {exc}") from exc
+    if type(n) is not int:
+        raise ParseError(f"'n' must be an integer, got {n!r}")
     if not isinstance(entries, list):
         raise ParseError("'entries' must be a list")
     if n < 1 or len(entries) != n * n:
@@ -95,8 +96,8 @@ def save_matrix(path: str, m: DualQuaternionMatrix) -> None:
 def _result_doc(algorithm, n, pairs, residual, iterations, converged):
     eigenvalues = [[lam.st, lam.du] for lam, vecs in pairs for _ in vecs]
     vecs = [v for _, vs in pairs for v in vs]
-    # the rows of every eigenvector from one _rows8 over their stacked parts
-    rows = _rows8([np.stack(part) for part in zip(*(v._parts for v in vecs))]) if vecs else []
+    # the rows of every eigenvector from one _rows8 over their parts side by side
+    rows = _rows8(np.stack([v._parts for v in vecs], axis=1)) if vecs else []
     return {
         "algorithm": algorithm,
         "n": n,

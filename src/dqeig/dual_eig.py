@@ -25,8 +25,8 @@ it keeps. Only the kept vectors are mapped back with F^-1.
 The other stages are stacked array operations on the arrays the decomposition
 hands over: one batched eigh per cluster block size, T in one masked division,
 one check of F^-1 of every column of U_hat, and the returned vectors as the
-rows of one (n, n) array per part, phased, checked for e_lambda and wrapped as
-read-only DualQuaternionVector views at once. Every normalization takes the
+rows of one (4, n, n) stack of parts, phased, checked for e_lambda and made
+read-only at once, each vector object a view of its row. Every normalization takes the
 two BLAS dots of the per-vector kernels in dqeig.matrices, so a group of
 multiplicity 2 gives bit for bit what they would give.
 """
@@ -160,7 +160,7 @@ def eig_dual_complex_hermitian(p, tol_group=1e-8) -> DualEigenDecomposition:
 
 
 def _check_eigenvectors(q: DualQuaternionMatrix, x, st, du) -> None:
-    """NotAnEigenvector unless every column of x (a part tuple of n x k arrays)
+    """NotAnEigenvector unless every column of x (a stack of n x k parts)
     satisfies Q x = x (st[j] + du[j] eps) to residual
     1e-8 * max(1, |Q|_F) * max(1, |x|_2R)."""
     scale = max(1.0, q.norm_fr())
@@ -180,7 +180,7 @@ def _gram_schmidt(x, tol_rank: float):
     tol_rank * max(1, |column|_2R). v = F^-1(w) is normalised as _unit would,
     and u = F(v) and F(v conj(j)) = -Hu are kept as rows: projecting onto both
     is projecting onto the quaternion line of v. Returns the kept v as the
-    rows of a part tuple of (kept, n) dual quaternion arrays.
+    rows of a (4, kept, n) stack of dual quaternion parts.
     """
     m, k = x[0].shape
     n = m // 2
@@ -212,7 +212,7 @@ def _gram_schmidt(x, tol_rank: float):
             np.negative(np.conj(v[1::2]), out=u[:, 1])
             np.conj(v[0::2], out=hu[:, 1])
             r += 1
-    return tuple(kept[p, h : 2 * r : 2, :n].copy() for p in (0, 1) for h in (0, 1))
+    return np.stack([kept[p, h : 2 * r : 2, :n] for p in (0, 1) for h in (0, 1)])
 
 
 def _redundant_partner(x, y, tol_rank: float):
@@ -239,7 +239,7 @@ _CONJ = np.array([1.0, -1.0, -1.0, -1.0])[:, None]
 
 
 def _canonical_phase(x):
-    """Right-scale each row of x, the four (k, n) parts of k unit
+    """Right-scale each row of x, the (4, k, n) stack of the parts of k unit
     vectors, by the unit dual quaternion conj(e)/|e| of its entry e with the
     largest standard-part modulus, which makes that entry a nonnegative dual
     number. Makes eigenvectors reproducible across runs; the eigenpair
@@ -263,7 +263,7 @@ def _canonical_phase(x):
     r_st, r_du = 1.0 / m, -m_du / (m * m)
     a = np.concatenate([conj_st * r_st, conj_st * r_du + conj_du * r_st])
     c = np.ascontiguousarray(a.T).view(np.complex128)
-    return _dq_mul(x, tuple(c[:, i : i + 1] for i in range(4)), np.multiply)
+    return _dq_mul(x, c.T[:, :, None], np.multiply)
 
 
 def eddcam_ea(
@@ -314,7 +314,7 @@ def eddcam_ea(
     kept = [_gram_schmidt((s[:, a : a + k], d[:, a : a + k]), tol_rank)
             for a, k in zip(starts[gs], sizes[gs])]
     counts = np.ones(len(starts), dtype=int)
-    counts[gs] = [len(rows[0]) for rows in kept]
+    counts[gs] = [rows.shape[1] for rows in kept]
     if counts.sum() != n:
         raise ClusterInstability(f"recovered {counts.sum()} eigenvectors for dimension {n}; "
                                  "eigenvalue grouping is unstable at this tolerance")
@@ -322,17 +322,16 @@ def eddcam_ea(
     # every returned vector as a row of one (4, n, n) array of parts
     offsets = np.cumsum(counts) - counts
     x = np.empty((4, n, n), dtype=np.complex128)
-    x[:, offsets[shortcut]] = _unit_rows(tuple(c.T[starts[shortcut]] for c in cand))
+    x[:, offsets[shortcut]] = _unit_rows(cand.transpose(0, 2, 1)[:, starts[shortcut]])
     for o, rows in zip(offsets[gs], kept):
-        x[:, o : o + len(rows[0])] = rows
+        x[:, o : o + rows.shape[1]] = rows
     x = _canonical_phase(x)
-    for a in x:
-        a.setflags(write=False)
+    x.setflags(write=False)
 
     # e_lambda from one residual product over the returned vectors
     lam = np.repeat(lam_st, counts), np.repeat(lam_du, counts)
-    res = _eig_residual(q._parts, tuple(a.T for a in x), *lam, axis=0)
-    vecs = [DualQuaternionVector._wrap(*parts) for parts in zip(*x)]
+    res = _eig_residual(q._parts, x.transpose(0, 2, 1), *lam, axis=0)
+    vecs = [DualQuaternionVector._of(x[:, k]) for k in range(n)]
     pairs = tuple(
         (DualNumber(a, b), tuple(vecs[o : o + k]))
         for a, b, o, k in zip(lam_st.tolist(), lam_du.tolist(), offsets.tolist(), counts.tolist())

@@ -10,7 +10,7 @@ come from one of two per-algebra tables:
 
 - _Quaternion iterates on the rows v1..v4 (h = 2), the complex-pair
   components of a dual quaternion vector, with the dual quaternion product
-  _dq_mul of the matrices module on the matrix stacked once by _dq_stack.
+  _dq_matvec of the matrices module on the matrix stacked once by _dq_stack.
   This is plain dual quaternion arithmetic, the cost baseline of
   power_method_baseline and power_method_spectrum.
 - _Adjoint iterates on the rows st, du (h = 1) of a dual complex vector
@@ -21,8 +21,9 @@ come from one of two per-algebra tables:
 
 One deflation driver, _deflate, extracts all eigenpairs with either table:
 power_method_spectrum subtracts lam v v^* from Q, dcama_pm subtracts
-lam (u u^* + Hu Hu^*) from the adjoint. The immutable dual quaternion
-vectors are built only on entry to and exit from each power loop. The
+lam (u u^* + Hu Hu^*) from the adjoint; both deflate on arrays. A dual
+quaternion vector object is read on entry to each power loop and built on
+exit from it, around the stack of parts the loop iterates on. The
 single-pair solvers have the loop record every step as packed floats and
 build their IterTrace from them after the loop; the deflation driver, which
 reads only the iteration count and the convergence flag, records nothing.
@@ -48,7 +49,7 @@ from .matrices import (
     DualQuaternionMatrix,
     DualQuaternionVector,
     _dc_mul,
-    _dq_mul,
+    _dq_matvec,
     _dq_stack,
     _eig_residual,
     _norm_2r,
@@ -152,26 +153,23 @@ def _residual(x, y, st, du) -> float:
 
 class _Quaternion:
     """Dual quaternion arithmetic on the rows v1, v2, v3, v4 of x: entry i of
-    the vector is (v1 + v2 j) + (v3 + v4 j) eps, as in DualQuaternionVector."""
+    the vector is (v1 + v2 j) + (v3 + v4 j) eps, as in DualQuaternionVector,
+    against the matrix Q held as its stack of parts."""
 
-    def __init__(self, q: DualQuaternionMatrix):
-        self.matrix = q
-        self.a = _dq_stack(q._parts)
-
-    @property
-    def parts(self):
-        return self.matrix._parts
+    def __init__(self, parts):
+        self.parts = parts
+        self.a = _dq_stack(parts)
 
     @staticmethod
     def enter(v: DualQuaternionVector):
-        return np.stack(v._parts)
+        return v._parts
 
     @staticmethod
     def leave(x) -> DualQuaternionVector:
-        return DualQuaternionVector(*x)
+        return DualQuaternionVector._of(x)
 
     def matvec(self, x):
-        return _dq_mul(self.a, x)
+        return _dq_matvec(self.a, x)
 
     @staticmethod
     def rayleigh(x, y):
@@ -192,9 +190,19 @@ class _Quaternion:
         return s1.real, d1.real, dropped
 
     def deflated(self, x, lam: DualNumber) -> "_Quaternion":
-        """Q - lam v v^*."""
-        v = self.leave(x)
-        return _Quaternion(self.matrix - v.outer(v) * lam)
+        """Q - lam v v^* for the vector v with rows x; with v = s + d eps,
+        v v^* = s s^* + (s d^* + d s^*) eps, and for quaternion parts
+        (x1 + x2 j)(y1 + y2 j)^* = (x1 y1^* + x2 y2^*) + (x2 y1^T - x1 y2^T) j."""
+
+        def outer(x1, x2, y1, y2):
+            return (np.outer(x1, np.conj(y1)) + np.outer(x2, np.conj(y2)),
+                    -np.outer(x1, y2) + np.outer(x2, y1))
+
+        s1, s2 = outer(x[0], x[1], x[0], x[1])
+        da1, da2 = outer(x[0], x[1], x[2], x[3])
+        db1, db2 = outer(x[2], x[3], x[0], x[1])
+        vv = np.stack((s1, s2, da1 + db1, da2 + db2))
+        return _Quaternion(self.parts - _scale_dual(vv, lam.st, lam.du))
 
 
 class _Adjoint:
@@ -211,7 +219,7 @@ class _Adjoint:
 
     @staticmethod
     def leave(x) -> DualQuaternionVector:
-        return DualQuaternionVector(*vec_map_f_inverse(x))
+        return DualQuaternionVector._of(vec_map_f_inverse(x))
 
     def matvec(self, x):
         return _dc_mul(self.parts, x)
@@ -321,7 +329,7 @@ def power_method_baseline(
     Expects Hermitian q and a unit start vector. Non-convergence within the
     iteration cap is reported in the trace, not raised.
     """
-    return _dominant(_Quaternion(q), v0, cfg)
+    return _dominant(_Quaternion(q._parts), v0, cfg)
 
 
 def dcam_pm(q: DualQuaternionMatrix, v0: DualQuaternionVector, cfg: PowerIterConfig):
@@ -350,7 +358,7 @@ def _spectrum_result(q, found, iterations):
     if not pairs:
         return EigenResult(pairs, 0.0, iterations)
     # e_lambda from one residual product over the vectors as columns
-    x = tuple(np.stack(part, axis=1) for part in zip(*(v._parts for _, v in ordered)))
+    x = np.stack([v._parts for _, v in ordered], axis=-1)
     st, du = np.array([(lam.st, lam.du) for lam, _ in ordered]).T
     residual = float(np.mean(_eig_residual(q._parts, x, st, du, axis=0)))
     return EigenResult(pairs, residual, iterations)
@@ -407,4 +415,4 @@ def power_method_spectrum(
     iteration in dual quaternion arithmetic, subtract lam * v v^*, repeat.
     Same stopping and failure contract as dcama_pm.
     """
-    return _deflate(q, _Quaternion(q), cfg, deflate_tol)
+    return _deflate(q, _Quaternion(q._parts), cfg, deflate_tol)

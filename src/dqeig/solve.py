@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dual_eig, power
 from .dual_eig import EigenResult
-from .errors import InnerNoConvergence
+from .errors import DimensionMismatch, InnerNoConvergence
 from .matrices import DualQuaternionMatrix, DualQuaternionVector, random_unit_vector
 
 ALGORITHMS = ("eddcam", "dcama", "dcam", "adcam", "pm")
@@ -31,7 +31,9 @@ def solve(
 
     The power methods take their budget from cfg and gate q with the
     Hermitian check first; eddcam_ea gates its adjoint itself. dcam and adcam
-    start from v0, by default the random unit vector seeded by cfg.seed.
+    start from v0, by default the random unit vector seeded by cfg.seed; a
+    v0 whose length is not q.rows raises DimensionMismatch, and a non-finite
+    one ValueError.
     """
     if alg not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {alg!r}; expected one of {', '.join(ALGORITHMS)}")
@@ -41,6 +43,10 @@ def solve(
     if alg in ("dcam", "adcam"):
         if v0 is None:
             v0 = random_unit_vector(q.rows, np.random.default_rng(cfg.seed))
+        elif v0.n != q.rows:
+            raise DimensionMismatch(f"start vector of length {v0.n} for a matrix of {q.rows} rows")
+        elif not np.isfinite(v0._parts).all():
+            raise ValueError("start vector v0 must be finite")
         driver = power.dcam_pm if alg == "dcam" else power.adcam_pm
         lam, v, trace = driver(q, v0, cfg)
         residual = power.pair_residual(q, lam, v)

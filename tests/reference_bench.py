@@ -13,6 +13,7 @@ import numpy as np
 from dqeig.errors import DegenerateRandomDraw
 from dqeig.matrices import DualQuaternionMatrix, DualQuaternionVector
 from dqeig.scalars import DualQuaternion, Quaternion
+from tests.dq import dot, dual_norm, scale_right
 
 
 def build_laplacian(g):
@@ -39,8 +40,8 @@ def synth_known_spectrum(n, sigma, seed):
     for j in range(n):
         v = DualQuaternionVector(g1[:, j], g2[:, j])
         for u in basis:
-            v = v - u.scale_right(u.dot(v))
-        if v.norm_2().st <= 1e-8:
+            v = v - scale_right(u, dot(u, v))
+        if dual_norm(v).st <= 1e-8:
             raise DegenerateRandomDraw("random columns were numerically dependent")
         basis.append(v.unit())
     vmat = DualQuaternionMatrix(

@@ -25,6 +25,7 @@ from dqeig.matrices import (
     DualQuaternionVector, _dq_mul, _dual_norm, _norm_2r, _qmul, _scale_dual, _sumsq,
 )
 from dqeig.scalars import DualNumber
+from tests.dq import dot, dual_norm, entry, norm_2r, scale_right
 
 
 def cluster_eigenvalues(values, tol_group=1e-8):
@@ -81,57 +82,57 @@ def eig_dual_complex_hermitian(p, tol_group=1e-8):
 def _canonical_phase(v):
     """v right-scaled by conj(e)/|e|, e its entry with the largest standard part."""
     mags = v.v1.real**2 + v.v1.imag**2 + v.v2.real**2 + v.v2.imag**2
-    e = v.entry(int(np.argmax(mags)))
-    return v.scale_right(e.conj() / e.magnitude())
+    e = entry(v, int(np.argmax(mags)))
+    return scale_right(v, e.conj() / e.magnitude())
 
 
 def orthogonalize_eigenvectors(vs, q, lam, tol_rank=1e-8):
     scale = max(1.0, q.norm_fr())
     for v in vs:
-        res = (q @ v - v.scale_right(lam)).norm_2r()
-        if res > 1e-8 * scale * max(1.0, v.norm_2r()):
+        res = norm_2r(q @ v - scale_right(v, lam))
+        if res > 1e-8 * scale * max(1.0, norm_2r(v)):
             raise NotAnEigenvector(f"candidate residual {res:.3e} too large for {lam}")
     out = []
     for v in vs:
         w = v
         for u in out:
-            w = w - u.scale_right(u.dot(v))
-        nrm = w.norm_2()
-        if nrm.st > tol_rank * max(1.0, v.norm_2r()):
-            out.append(w.scale_right(nrm.reciprocal()))
+            w = w - scale_right(u, dot(u, v))
+        nrm = dual_norm(w)
+        if nrm.st > tol_rank * max(1.0, norm_2r(v)):
+            out.append(scale_right(w, nrm.reciprocal()))
     return out
 
 
 def gram_schmidt(x, tol_rank=1e-8):
-    """Classical Gram-Schmidt over the columns of x, a part tuple of n x k
-    dual quaternion arrays, in 4-part dual quaternion arithmetic. Each column
+    """Classical Gram-Schmidt over the columns of x, a stack of n x k dual
+    quaternion parts, in 4-part dual quaternion arithmetic. Each column
     minus its projections onto all the vectors kept so far, taken as one
     stacked product, is normalised and kept unless the standard part of that
     remainder has norm at most tol_rank * max(1, |column|_2R). Returns the
-    kept vectors as the rows of a part tuple of (kept, n) arrays.
+    kept vectors as the rows of a stack of (kept, n) parts.
     """
     n, k = x[0].shape
     bounds = tol_rank * np.maximum(
-        1.0, _norm_2r(tuple(np.ascontiguousarray(a.T) for a in x), axis=-1)
+        1.0, _norm_2r(np.ascontiguousarray(x.transpose(0, 2, 1)), axis=-1)
     )
     # kept vectors as the columns of U (stored as rows) and the rows of U*
-    rows = [np.empty((k, n), dtype=np.complex128) for _ in x]
-    conj_rows = [np.empty((k, n), dtype=np.complex128) for _ in x]
+    rows = np.empty((4, k, n), dtype=np.complex128)
+    conj_rows = np.empty((4, k, n), dtype=np.complex128)
     r = 0
     for j in range(k):
-        v = w = tuple(a[:, j] for a in x)
+        v = w = x[:, :, j]
         if r:
-            c = _dq_mul(tuple(a[:r] for a in conj_rows), v)
-            w = tuple(a - b for a, b in zip(v, _dq_mul(tuple(a[:r].T for a in rows), c)))
+            c = _dq_mul(conj_rows[:, :r], v)
+            w = v - _dq_mul(rows[:, :r].transpose(0, 2, 1), c)
         st, du = _dual_norm(w)
         if st > bounds[j]:
             w = _scale_dual(w, 1.0 / st, -du / (st * st))
             # (A + B j)* = conj(A)^T - B^T j, per part of the dual split
-            for row, conj_row, a, flip in zip(rows, conj_rows, w, (np.conj, np.negative) * 2):
-                row[r] = a
+            rows[:, r] = w
+            for conj_row, a, flip in zip(conj_rows, w, (np.conj, np.negative) * 2):
                 conj_row[r] = flip(a)
             r += 1
-    return tuple(row[:r] for row in rows)
+    return rows[:, :r]
 
 
 def redundant_second(x, y, tol_rank=1e-8):
@@ -151,7 +152,7 @@ def redundant_second(x, y, tol_rank=1e-8):
 
 def e_lambda(q, pairs):
     """Mean |Q v - v lam| over the returned pairs, in object arithmetic."""
-    residuals = [(q @ v - v.scale_right(lam)).norm_2r() for lam, vecs in pairs for v in vecs]
+    residuals = [norm_2r(q @ v - scale_right(v, lam)) for lam, vecs in pairs for v in vecs]
     return float(np.mean(residuals))
 
 

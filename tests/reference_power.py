@@ -26,6 +26,7 @@ from dqeig.matrices import (
 )
 from dqeig.power import AITKEN_GUARD, IterTrace, _aitken_complex, _aitken_real, _spectrum_result
 from dqeig.scalars import DualNumber
+from tests.dq import dot, norm_2r, outer, scale_right
 from tests.test_adjoint import dc_dot, dc_outer
 
 
@@ -66,8 +67,8 @@ def power_method_baseline(q, v0, cfg):
     lam = DualNumber()
     for k in range(1, cfg.max_iter + 1):
         y = q @ v
-        lam, dropped = _cast_quaternion(v.dot(y))
-        res = (y - v.scale_right(lam)).norm_2r()
+        lam, dropped = _cast_quaternion(dot(v, y))
+        res = norm_2r(y - scale_right(v, lam))
         trace.record(lam, res, dropped)
         v = y.unit()
         if res <= cfg.tol:
@@ -178,5 +179,5 @@ def power_method_spectrum(q, cfg, deflate_tol=None):
                 pair_index=k,
             )
         found.append((lam, v))
-        work = work - v.outer(v) * lam
+        work = work - outer(v, v) * lam
     return _spectrum_result(q, found, iterations)

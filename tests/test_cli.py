@@ -19,6 +19,7 @@ from dqeig.errors import ParseError
 from dqeig.matrices import DualQuaternionMatrix, DualQuaternionVector
 from dqeig.power import pair_residual
 from dqeig.scalars import DualNumber
+from tests.dq import entry, max_abs_diff
 from tests.test_matrices import rand_dq_matrix, rand_dq_vector
 
 
@@ -35,7 +36,7 @@ class TestMatrixFile:
         path = str(tmp_path / "m.json")
         save_matrix(path, m)
         back = load_matrix(path)
-        assert back.max_abs_diff(m) == 0.0
+        assert max_abs_diff(back._parts, m._parts) == 0.0
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -66,11 +67,11 @@ class TestMatrixFile:
         save_matrix(path, m)
         with open(path) as fh:
             rows = json.load(fh)["entries"]
-        assert rows == [components(m.entry(i, j)) for i in range(3) for j in range(4)]
+        assert rows == [components(entry(m, i, j)) for i in range(3) for j in range(4)]
 
     def test_vector_rows_are_the_entry_components(self):
         v = rand_dq_vector(5, np.random.default_rng(6))
-        assert _rows8(v._parts) == [components(v.entry(i)) for i in range(5)]
+        assert _rows8(v._parts) == [components(entry(v, i)) for i in range(5)]
 
 
 def components(q):
@@ -91,6 +92,9 @@ BAD_DOCUMENTS = {
     "nan-component": one_entry_doc([float("nan"), 0, 0, 0, 0, 0, 0, 0]),
     "infinite-component": one_entry_doc([float("inf"), 0, 0, 0, 0, 0, 0, 0]),
     "infinite-n": {"format": "dqh-1", "n": float("inf"), "entries": []},
+    "fractional-n": {"format": "dqh-1", "n": 2.9, "entries": [[0] * 8] * 4},
+    "boolean-n": {"format": "dqh-1", "n": True, "entries": [[0] * 8]},
+    "string-n": {"format": "dqh-1", "n": "2", "entries": [[0] * 8] * 4},
 }
 
 
@@ -268,7 +272,7 @@ class TestSolve:
         # rounding in V diag(sigma) V* leaves an asymmetry of about 5e-10 at this scale
         sigma = [DualNumber(1e6 * (k + 1), 1e5 * k) for k in range(8)]
         q, _ = synth_known_spectrum(8, sigma, 0)
-        assert q.max_abs_diff(q.conj_transpose()) > 1e-10
+        assert max_abs_diff(q._parts, q.conj_transpose()._parts) > 1e-10
         got = sorted(((lam.st, lam.du) for lam in eddcam_ea(q).eigenvalues()), reverse=True)
         want = sorted(((s.st, s.du) for s in sigma), reverse=True)
         assert np.abs(np.subtract(got, want)).max() <= 1e-8 * 8e6

@@ -26,6 +26,7 @@ from dqeig.errors import DQEigError, NotAnEigenvector
 from dqeig.matrices import DualQuaternionVector, _dq_mul, _unit_rows
 from dqeig.scalars import DualNumber, DualQuaternion, Quaternion
 from tests import reference_dual_eig as ref
+from tests.dq import basis, scale_right
 from tests.test_dual_eig import orthogonalize
 
 SPARSITIES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
@@ -170,7 +171,7 @@ def test_canonical_phase_matches_the_object_phase():
 def test_redundant_candidates_are_dropped_alike():
     q = pentagon_fixture()
     lam, (v,) = dual_eig.eddcam_ea(q).pairs[0]
-    rotated = v.scale_right(DualNumber(-1.0, 0.5))
+    rotated = scale_right(v, DualNumber(-1.0, 0.5))
     vs = [v, rotated, v]
     got = orthogonalize(vs, q, lam)
     want = ref.orthogonalize_eigenvectors(vs, q, lam)
@@ -183,7 +184,7 @@ def test_a_second_candidate_is_redundant_only_on_the_line_of_the_first():
     q = pentagon_fixture()
     (_, (v,)), (_, (w,)) = dual_eig.eddcam_ea(q).pairs[:2]
     j = DualQuaternion(Quaternion(0.0, 0.0, 1.0, 0.0), Quaternion())
-    x, y = stacked([v, v]), stacked([v.scale_right(j), w])
+    x, y = stacked([v, v]), stacked([scale_right(v, j), w])
     fy = tuple(a.T for a in vec_map_f(y))
     redundant = dual_eig._redundant_partner(vec_map_f(x)[0].T, fy, 1e-8)
     assert redundant.tolist() == ref.redundant_second(x, y).tolist() == [True, False]
@@ -248,7 +249,7 @@ def test_a_split_double_eigenvalue_fails_as_in_the_reference():
 def test_a_non_eigenvector_raises_alike():
     q = pentagon_fixture()
     lam, (v,) = dual_eig.eddcam_ea(q).pairs[0]
-    junk = DualQuaternionVector.basis(5, 2)
+    junk = basis(5, 2)
     for gs in (orthogonalize, ref.orthogonalize_eigenvectors):
         with pytest.raises(NotAnEigenvector):
             gs([v, junk], q, lam)

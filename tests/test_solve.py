@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import dqeig
+from dqeig import power
 from dqeig.bench import build_laplacian, pentagon_fixture, random_graph, random_hermitian
 from dqeig.dual_eig import eddcam_ea
-from dqeig.errors import InnerNoConvergence, NotHermitian
-from dqeig.matrices import DualQuaternionMatrix, random_unit_vector
+from dqeig.errors import DimensionMismatch, InnerNoConvergence, NotHermitian
+from dqeig.matrices import DualQuaternionMatrix, DualQuaternionVector, random_unit_vector
 from dqeig.power import (
     PowerIterConfig,
     adcam_pm,
@@ -143,3 +144,25 @@ def test_a_nan_entry_fails_the_hermitian_gate_for_every_algorithm(alg, part):
     parts[part][0, 1] = np.nan
     with pytest.raises(NotHermitian):
         solve(DualQuaternionMatrix(*parts), alg, CFG)
+
+
+@pytest.mark.parametrize("alg", ["dcam", "adcam"])
+def test_a_start_vector_of_another_length_names_both_lengths(alg):
+    v0 = random_unit_vector(3, np.random.default_rng(0))
+    message = r"^start vector of length 3 for a matrix of 4 rows$"
+    with pytest.raises(DimensionMismatch, match=message):
+        solve(random_hermitian(4, 1), alg, CFG, v0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("alg", ["dcam", "adcam"])
+def test_a_non_finite_start_vector_raises_before_the_loop(alg, bad, monkeypatch):
+    def never(*args):
+        raise AssertionError("the power loop ran")
+
+    monkeypatch.setattr(power, "dcam_pm", never)
+    monkeypatch.setattr(power, "adcam_pm", never)
+    parts = random_unit_vector(4, np.random.default_rng(0))._parts.copy()
+    parts[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        solve(random_hermitian(4, 1), alg, CFG, DualQuaternionVector(*parts))
