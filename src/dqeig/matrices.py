@@ -98,13 +98,19 @@ def _dq_mul(a, b, mul=np.matmul):
     """Dual quaternion product a b of the stacks a and b, part by part:
     matrix @ matrix or matrix @ vector, or with mul=np.multiply an array
     right-multiplied entrywise by a scalar. b may be any four parts that
-    broadcast under mul; the product comes back stacked."""
+    broadcast under mul; the product comes back stacked, each half written
+    into the stack as soon as it is formed."""
     a1, a2, a3, a4 = a
     b1, b2, b3, b4 = b
-    c1, c2 = _qmul(a1, a2, b1, b2, mul)
+    st = _qmul(a1, a2, b1, b2, mul)
+    out = np.empty((4, *st[0].shape), dtype=st[0].dtype)
+    out[0], out[1] = st
+    del st
     d1a, d2a = _qmul(a1, a2, b3, b4, mul)
     d1b, d2b = _qmul(a3, a4, b1, b2, mul)
-    return np.stack((c1, c2, d1a + d1b, d2a + d2b))
+    np.add(d1a, d1b, out=out[2])
+    np.add(d2a, d2b, out=out[3])
+    return out
 
 
 def _dq_matvec(a, x):
@@ -218,7 +224,9 @@ def _unit_rows(x):
 def _eig_residual(a, x, st, du, axis=None):
     """|A x - x (st + du eps)| in the 2R norm of the stacks a and x; per
     column with axis=0."""
-    return _norm_2r(_dq_mul(a, x) - _scale_dual(x, st, du), axis)
+    r = _dq_mul(a, x)
+    r -= _scale_dual(x, st, du)
+    return _norm_2r(r, axis)
 
 
 def _part(k):
