@@ -234,6 +234,8 @@ def _redundant_partner(x, y, tol_rank: float):
     return np.sqrt(_sumsq(rest, -1)) <= tol_rank * np.maximum(1.0, _norm_2r(y, -1))
 
 
+# relative gap below which squared moduli tie for the canonical phase
+PHASE_TIE = 1e-12
 # DualQuaternion.conj on quaternion components (w, x, y, z)
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])[:, None]
 
@@ -242,14 +244,17 @@ def _canonical_phase(x):
     """Right-scale each row of x, the (4, k, n) stack of the parts of k unit
     vectors, by the unit dual quaternion conj(e)/|e| of its entry e with the
     largest standard-part modulus, which makes that entry a nonnegative dual
-    number. Makes eigenvectors reproducible across runs; the eigenpair
-    property is unchanged because dual-number eigenvalues commute with the
-    scaling. conj(e)/|e| is formed on the real components in the order of
-    DualQuaternion.conj, magnitude and division."""
+    number. e is the first entry whose squared modulus is within a relative
+    PHASE_TIE of the largest, so entries that tie up to rounding do not make
+    the choice depend on it. Makes eigenvectors reproducible across runs;
+    the eigenpair property is unchanged because dual-number eigenvalues
+    commute with the scaling. conj(e)/|e| is formed on the real components
+    in the order of DualQuaternion.conj, magnitude and division."""
     v1, v2 = x[0], x[1]
     k = len(v1)
     mags = v1.real**2 + v1.imag**2 + v2.real**2 + v2.imag**2
-    rows, cols = np.arange(k), mags.argmax(axis=-1)
+    top = mags.max(axis=-1, keepdims=True)
+    rows, cols = np.arange(k), (mags >= top * (1.0 - PHASE_TIE)).argmax(axis=-1)
     e = np.stack([a[rows, cols] for a in x])
     # the (w, x, y, z) components of e's standard and dual parts, conjugated
     st, du = e.view(np.float64).reshape(2, 2, k, 2).transpose(0, 1, 3, 2).reshape(2, 4, k)

@@ -18,7 +18,7 @@ Gram-Schmidt and partner check.
 import numpy as np
 
 from dqeig.adjoint import adjoint, vec_map_f_inverse
-from dqeig.dual_eig import DualEigenDecomposition, EigenResult, _check_hermitian
+from dqeig.dual_eig import PHASE_TIE, DualEigenDecomposition, EigenResult, _check_hermitian
 from dqeig.errors import ClusterInstability, NotAnEigenvector
 from dqeig.hermitian_eig import eig_hermitian
 from dqeig.matrices import (
@@ -80,9 +80,11 @@ def eig_dual_complex_hermitian(p, tol_group=1e-8):
 
 
 def _canonical_phase(v):
-    """v right-scaled by conj(e)/|e|, e its entry with the largest standard part."""
+    """v right-scaled by conj(e)/|e|, e its first entry whose standard part's
+    squared modulus is within a relative PHASE_TIE of the largest."""
     mags = v.v1.real**2 + v.v1.imag**2 + v.v2.real**2 + v.v2.imag**2
-    e = entry(v, int(np.argmax(mags)))
+    first = next(i for i, m in enumerate(mags) if m >= mags.max() * (1.0 - PHASE_TIE))
+    e = entry(v, first)
     return scale_right(v, e.conj() / e.magnitude())
 
 

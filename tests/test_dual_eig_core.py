@@ -160,12 +160,40 @@ def test_canonical_phase_matches_the_object_phase():
     # rows of a stack, each phased as its own DualQuaternionVector
     rng = np.random.default_rng(3)
     for n in (1, 5, 150):
-        x = _unit_rows(tuple(rng.standard_normal((7, n)) + 1j * rng.standard_normal((7, n))
-                             for _ in range(4)))
+        x = _unit_rows(np.stack([rng.standard_normal((7, n)) + 1j * rng.standard_normal((7, n))
+                                 for _ in range(4)]))
         got = dual_eig._canonical_phase(x)
         for k in range(7):
             want = ref._canonical_phase(DualQuaternionVector(*(a[k] for a in x)))
             assert b"".join(a[k].tobytes() for a in got) == bits(want)
+
+
+def test_canonical_phase_anchors_the_first_of_entries_that_tie_to_an_ulp():
+    # entries 1 and 3 have standard parts 0.6 + 0.3i and 0.3 + 0.6i, whose
+    # squared moduli are equal; 2^-27 j added to entry 3 raises its squared
+    # modulus 0.45 by 2^-54, one ulp. A plain argmax would anchor entry 3 and
+    # move the phase with that ulp; the tie rule anchors entry 1 either way.
+    def row(t):
+        v1 = np.array([0.1, 0.6 + 0.3j, 0.2j, 0.3 + 0.6j, 0.1 - 0.1j])
+        v2 = np.array([0.1j, 0.0, 0.1, t, 0.05])
+        return np.stack([v1, v2, 0.3 * v1[::-1], 0.2 * v2[::-1]])[:, None, :]
+
+    def mags(x):
+        v1, v2 = x[0, 0], x[1, 0]
+        return (v1.real**2 + v1.imag**2 + v2.real**2 + v2.imag**2).tolist()
+
+    tied, above = row(0.0), row(2.0**-27)
+    assert mags(tied)[1] == mags(tied)[3] == max(mags(tied))
+    assert mags(above)[3] == np.nextafter(mags(above)[1], 1.0) == max(mags(above))
+    for x in (tied, above):
+        got = dual_eig._canonical_phase(x)
+        e = got[:, 0, 1]
+        # the anchor is entry 1, now a positive dual number
+        assert e[0].real > 0.0 and max(abs(e[0].imag), abs(e[1]), abs(e[3])) <= 1e-15
+        assert abs(e[2].imag) <= 1e-15
+        assert abs(got[0, 0, 3].imag) > 0.1
+        want = ref._canonical_phase(DualQuaternionVector(*x[:, 0]))
+        assert got[:, 0].tobytes() == bits(want)
 
 
 def test_redundant_candidates_are_dropped_alike():
