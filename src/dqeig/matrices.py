@@ -98,8 +98,9 @@ def _dq_mul(a, b, mul=np.matmul):
     """Dual quaternion product a b of the stacks a and b, part by part:
     matrix @ matrix or matrix @ vector, or with mul=np.multiply an array
     right-multiplied entrywise by a scalar. b may be any four parts that
-    broadcast under mul; the product comes back stacked, each half written
-    into the stack as soon as it is formed."""
+    broadcast under mul; the product comes back stacked. The standard half
+    goes into the stack before the dual half is formed, so that no more
+    than about one stack of temporaries is alive at a time."""
     a1, a2, a3, a4 = a
     b1, b2, b3, b4 = b
     st = _qmul(a1, a2, b1, b2, mul)
