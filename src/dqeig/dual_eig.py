@@ -26,9 +26,10 @@ The other stages are stacked array operations on the arrays the decomposition
 hands over: one batched eigh per cluster block size, T in one masked division,
 one check of F^-1 of every column of U_hat, and the returned vectors as the
 rows of one (4, n, n) stack of parts, phased, checked for e_lambda and made
-read-only at once, each vector object a view of its row. Every normalization takes the
-two BLAS dots of the per-vector kernels in dqeig.matrices, so a group of
-multiplicity 2 gives bit for bit what they would give.
+read-only at once, each vector object a view of its row. Every
+normalization takes the two BLAS dots of the per-vector kernels in
+dqeig.matrices, so a group of multiplicity 2 gives bit for bit what they
+would give.
 """
 
 import math
@@ -319,7 +320,7 @@ def eddcam_ea(
     kept = [_gram_schmidt((s[:, a : a + k], d[:, a : a + k]), tol_rank)
             for a, k in zip(starts[gs], sizes[gs])]
     counts = np.ones(len(starts), dtype=int)
-    counts[gs] = [rows.shape[1] for rows in kept]
+    counts[gs] = [len(rows[0]) for rows in kept]
     if counts.sum() != n:
         raise ClusterInstability(f"recovered {counts.sum()} eigenvectors for dimension {n}; "
                                  "eigenvalue grouping is unstable at this tolerance")
@@ -329,7 +330,7 @@ def eddcam_ea(
     x = np.empty((4, n, n), dtype=np.complex128)
     x[:, offsets[shortcut]] = _unit_rows(cand.transpose(0, 2, 1)[:, starts[shortcut]])
     for o, rows in zip(offsets[gs], kept):
-        x[:, o : o + rows.shape[1]] = rows
+        x[:, o : o + len(rows[0])] = rows
     x = _canonical_phase(x)
     x.setflags(write=False)
 
