@@ -7,9 +7,7 @@ spectrum has repeated standard parts with distinct dual parts, and the
 benchmark driver that feeds the CLI.
 """
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,17 +267,6 @@ _BENCH_DEFAULTS = {
 }
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("DQEIG_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        return 1
-    if k == 0:
-        return os.cpu_count() or 1
-    return max(1, k)
-
-
 def _timed_records(q, algorithms, cfg, v0=None, **fields):
     """One BenchRecord per algorithm, each timing one solve of q."""
     records = []
@@ -300,8 +287,7 @@ def _timed_records(q, algorithms, cfg, v0=None, **fields):
     return records
 
 
-def _aitken_trial(args):
-    n, trial, seed, tol, max_iter = args
+def _aitken_trial(n, trial, seed, tol, max_iter):
     rng = np.random.default_rng([seed, n, trial])
     q = random_hermitian(n, rng)
     v0 = random_unit_vector(n, rng)
@@ -311,8 +297,7 @@ def _aitken_trial(args):
     )
 
 
-def _laplacian_trial(args):
-    n, s, trial, seed, tol, max_iter = args
+def _laplacian_trial(n, s, trial, seed, tol, max_iter):
     np.linalg.eigh(np.eye(2, dtype=np.complex128))  # pay LAPACK warm-up outside the timers
     rng = np.random.default_rng([seed, n, int(round(1000 * s)), trial])
     lap = build_laplacian(random_graph(n, s, rng))
@@ -339,7 +324,7 @@ def run_benchmark(
 
     Trials are independent and seeded from (seed, size, sparsity, trial), so
     identical arguments reproduce identical records apart from wall times.
-    DQEIG_THREADS > 1 runs trials in a process pool (0 means all cores).
+    Trials run one after another.
     """
     if kind not in _BENCH_DEFAULTS:
         raise ValueError(f"unknown benchmark kind {kind!r}")
@@ -349,21 +334,12 @@ def run_benchmark(
     max_iter = _BENCH_DEFAULTS[kind]["max_iter"] if max_iter is None else max_iter
 
     if kind == "aitken":
-        fn = _aitken_trial
-        tasks = [(n, t, seed, tol, max_iter) for n in sizes for t in range(trials)]
+        grouped = [_aitken_trial(n, t, seed, tol, max_iter) for n in sizes for t in range(trials)]
     else:
-        fn = _laplacian_trial
-        tasks = [
-            (n, s, t, seed, tol, max_iter)
+        grouped = [
+            _laplacian_trial(n, s, t, seed, tol, max_iter)
             for n in sizes
             for s in sparsities
             for t in range(trials)
         ]
-
-    workers = _worker_count()
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            grouped = list(pool.map(fn, tasks))
-    else:
-        grouped = [fn(task) for task in tasks]
-    return [record for group in grouped for record in group]
+    return [record for records in grouped for record in records]

@@ -17,10 +17,10 @@ where every eigenvalue shows up with doubled multiplicity, and picks the
 eigenvectors on the adjoint side. A column u = F(v) of U_hat and its partner
 Hu = F(v j) are orthogonal, and their span under the dual complex inner
 product is the image under F of the quaternion line of v. So a group of
-adjoint multiplicity 2 is one eigenvector, which one stacked projection onto
-span{u, Hu} confirms for all such groups at once, and larger groups run one
-Gram-Schmidt over their (st, du) columns that keeps u and Hu of every vector
-it keeps. Only the kept vectors are mapped back with F^-1.
+adjoint multiplicity t holds t/2 eigenvectors, which one Gram-Schmidt over
+its (st, du) columns, keeping u and Hu of each vector it keeps, finds; it
+runs batched over the groups of one size, as the block eigh does. Only the
+kept vectors are mapped back with F^-1.
 
 The other stages are stacked array operations on the arrays the decomposition
 hands over: one batched eigh per cluster block size, T in one masked division,
@@ -28,11 +28,9 @@ one check of F^-1 of every column of U_hat, and the returned vectors as the
 rows of one (4, n, n) stack of parts, phased, checked for e_lambda and made
 read-only at once, each vector object a view of its row. Every
 normalization takes the two BLAS dots of the per-vector kernels in
-dqeig.matrices, so a group of multiplicity 2 gives bit for bit what they
-would give.
+dqeig.matrices, so a kept vector gives bit for bit what they would give.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,12 +39,20 @@ from .adjoint import adjoint, vec_map_f_inverse
 from .errors import ClusterInstability, DimensionMismatch, NotAnEigenvector, NotHermitian
 from .hermitian_eig import _clusters, _run_means, _runs, eig_hermitian
 from .matrices import (
-    DualQuaternionMatrix, DualQuaternionVector, _carr, _dc_mul, _dq_mul, _dual_norm,
-    _eig_residual, _is_hermitian, _norm_2r, _scale_dual, _sumsq, _unit_rows,
+    DualQuaternionMatrix, DualQuaternionVector, _carr, _dq_mul, _eig_residual, _is_hermitian,
+    _norm_2r, _scale_dual,
 )
 from .scalars import DualNumber
 
 __all__ = ["DualEigenDecomposition", "EigenResult", "eig_dual_complex_hermitian", "eddcam_ea"]
+
+# tolerances of the eigenvalue clustering and grouping and of the rank test
+# of Gram-Schmidt, relative to max(1, the largest magnitude involved)
+TOL_GROUP = 1e-8
+TOL_RANK = 1e-8
+# the most column entries one batched Gram-Schmidt takes, which bounds its
+# temporaries to a few MB at n = 200
+GS_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,13 +98,6 @@ class EigenResult:
         return [v for _, vecs in self.pairs for v in vecs]
 
 
-def _check_tol(**tols) -> None:
-    """ValueError unless every given tolerance is finite and positive."""
-    for name, value in tols.items():
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
 def _check_square(shape) -> None:
     if shape[0] != shape[1]:
         raise NotHermitian(f"matrix is not square: {shape}")
@@ -116,19 +115,20 @@ def _check_hermitian(parts) -> None:
         raise NotHermitian("matrix is not Hermitian within 1e-10 of its largest entry")
 
 
-def eig_dual_complex_hermitian(p, tol_group=1e-8) -> DualEigenDecomposition:
+def eig_dual_complex_hermitian(p) -> DualEigenDecomposition:
     """Eigendecomposition of the dual complex Hermitian matrix p, the pair
-    (st, du) of its parts: 2-d arrays of one shape, or DimensionMismatch."""
-    _check_tol(tol_group=tol_group)
+    (st, du) of its parts: 2-d arrays of one shape, or DimensionMismatch.
+    Eigenvalues of P1 within TOL_GROUP * max(1, max |lam|) share a cluster,
+    and clusters closer than ten times that raise ClusterInstability."""
     st, du = (_carr(a, 2) for a in p)
     if st.shape != du.shape:
         raise DimensionMismatch(f"parts of shapes {st.shape} and {du.shape}")
     _check_hermitian((st, du))
     base = eig_hermitian(st)
-    values, counts = _clusters(base.values, tol_group)
+    values, counts = _clusters(base.values, TOL_GROUP)
     scale = max(1.0, abs(values[0]), abs(values[-1])) if values.size else 1.0
     gaps = values[:-1] - values[1:]
-    narrow = np.flatnonzero(gaps < 10.0 * tol_group * scale)
+    narrow = np.flatnonzero(gaps < 10.0 * TOL_GROUP * scale)
     if narrow.size:
         raise ClusterInstability(f"cluster gap {gaps[narrow[0]]:.3e} below 10*tol_group; "
                                  "dual coupling entries would blow up")
@@ -141,7 +141,7 @@ def eig_dual_complex_hermitian(p, tol_group=1e-8) -> DualEigenDecomposition:
     starts = np.cumsum(counts) - counts
     v = np.zeros_like(u)
     mu = np.zeros(len(u))
-    for size in np.unique(counts):
+    for size in set(counts.tolist()):
         idx = starts[counts == size, None] + np.arange(size)
         rows, cols = idx[:, :, None], idx[:, None, :]
         blocks = p2[rows, cols]
@@ -173,66 +173,80 @@ def _check_eigenvectors(q: DualQuaternionMatrix, x, st, du) -> None:
         raise NotAnEigenvector(f"candidate residual {res[k]:.3e} too large for {lam}")
 
 
-def _gram_schmidt(x, tol_rank: float):
-    """Classical Gram-Schmidt in dual complex arithmetic over the columns F(v)
-    of x, a (st, du) tuple of 2n x k arrays. Each column minus its projections
-    onto all the rows kept so far, taken as one stacked product, is kept
-    unless the standard part of that remainder w has norm at most
-    tol_rank * max(1, |column|_2R). v = F^-1(w) is normalised as _unit would,
-    and u = F(v) and F(v conj(j)) = -Hu are kept as rows: projecting onto both
-    is projecting onto the quaternion line of v. Returns the kept v as the
-    rows of a (4, kept, n) stack of dual quaternion parts.
+def _gram_schmidt(x, groups, tol_rank: float):
+    """Classical Gram-Schmidt in dual complex arithmetic over the columns
+    F(v) of x, a (st, du) tuple of arrays with 2n rows, run at once for the
+    g groups of columns that the rows of the (g, k) index array groups list.
+    In each group, each column minus its projections onto the rows the group
+    has kept, taken as one stacked product, is kept unless the standard part
+    of that remainder w has norm at most tol_rank * max(1, |column|_2R).
+    v = F^-1(w) is normalised as _unit would, and u = F(v) and
+    F(v conj(j)) = -Hu are kept as rows: projecting onto both is projecting
+    onto the quaternion line of v. Every group projects onto as many rows as
+    the fullest group has kept, its own unfilled rows being zero. Returns
+    (rows, counts): group i keeps the counts[i] vectors rows[:, :, i, :c],
+    c = counts[i], of a (2, 2, g, k, n) view whose first two axes index the
+    parts (v1, v2; v3, v4).
     """
-    m, k = x[0].shape
+    g, k = groups.shape
+    m = len(x[0])
     n = m // 2
-    # every column as one (2, 2n) row; as (4, n) its halves sit in the slots
-    # of the parts (v1, v2, v3, v4), v2 and v4 as -conj(v2) and -conj(v4)
-    cols = np.stack(x).transpose(2, 0, 1).copy()
-    bounds = tol_rank * np.maximum(1.0, _norm_2r(cols.reshape(k, 4, n).transpose(1, 0, 2), -1))
-    conj_cols = np.conj(cols)
-    kept = np.empty((2, 2 * k, m), dtype=np.complex128)
-    r = 0
+    # column j of every group as one (2, 2n) row; as (4, n) its halves sit in
+    # the slots of the parts (v1, v2, v3, v4), v2 and v4 as -conj(v2) and -conj(v4)
+    cols = np.stack((x[0].T[groups.T], x[1].T[groups.T]), axis=2)
+    bounds = tol_rank * np.maximum(1.0, _norm_2r(cols.reshape(k, g, 4, n).transpose(2, 0, 1, 3), -1))
+    kept = np.zeros((g, 2, 2 * k, m), dtype=np.complex128)
+    # views of the kept standard rows, as (g, 1, 2k, 2n) and transposed, and
+    # of the kept dual rows transposed
+    ks, kst, kdt = kept[:, None, 0], kept[:, None, 0].swapaxes(2, 3), kept[:, 1].swapaxes(1, 2)
+    counts = np.zeros(g, dtype=int)
+    # rows the fullest group has kept; while every group has kept alike
+    # (even), the next two rows are one slice of kept for all of them
+    r, even = 0, True
     for j in range(k):
         w = cols[j]
         if r:
-            # w minus the kept rows K weighted by <K, w> = conj(K conj(w))
-            ks, kd = kept[0, : 2 * r], kept[1, : 2 * r]
-            c = np.conj(_dc_mul((ks, kd), conj_cols[j]))
-            w = w - _dc_mul((ks.T, kd.T), c)
-        # the dual norm of v: the halves of w's rows hold v1, v2 (v3, v4) up
-        # to conjugation and sign, which leave the real parts of the products
-        # _dual_norm sums as they are
-        st, du = _dual_norm(w)
-        if st > bounds[j]:
-            v = w.reshape(4, n)
-            np.negative(np.conj(v[1::2]), out=v[1::2])
-            v = _scale_dual(v, 1.0 / st, -du / (st * st))
-            # u = (v1, -conj(v2); v3, -conj(v4)), -Hu = (v2, conj(v1); v4, conj(v3))
-            u, hu = kept[:, 2 * r].reshape(2, 2, n), kept[:, 2 * r + 1].reshape(2, 2, n)
-            u[:, 0], hu[:, 0] = v[0::2], v[1::2]
-            np.negative(np.conj(v[1::2]), out=u[:, 1])
-            np.conj(v[0::2], out=hu[:, 1])
-            r += 1
-    return np.stack([kept[p, h : 2 * r : 2, :n] for p in (0, 1) for h in (0, 1)])
-
-
-def _redundant_partner(x, y, tol_rank: float):
-    """Per row, whether Gram-Schmidt drops y after keeping x, on the adjoint
-    side: the standard part of y minus its projection onto span{x, Hx} has
-    norm at most tol_rank * max(1, |y|_2R). x is the standard part and y the
-    (st, du) tuple of (g, 2n) arrays whose rows are F-mapped vectors. The
-    Hx terms run on the halves, with Hx = (conj(x_bot), -conj(x_top)), and
-    are taken off the remainder in place.
-    """
-    n = x.shape[-1] // 2
-    xt, xb, yt, yb = x[:, :n], x[:, n:], y[0][:, :n], y[0][:, n:]
-    norm_sq = _sumsq(x, -1)[:, None]
-    a = np.add.reduce(np.conj(x) * y[0], -1)[:, None] / norm_sq
-    b = np.add.reduce(xb * yt - xt * yb, -1)[:, None] / norm_sq
-    rest = y[0] - x * a
-    rest[:, :n] -= np.conj(xb) * b
-    rest[:, n:] += np.conj(xt) * b
-    return np.sqrt(_sumsq(rest, -1)) <= tol_rank * np.maximum(1.0, _norm_2r(y, -1))
+            # w minus the kept rows K weighted by <K, w> = conj(K conj(w)),
+            # each product per group and part as _dc_mul forms it
+            b = np.conj(w)[..., None]
+            c = ks[:, :, :r] @ b
+            c_du = c[:, 1]
+            c_du += kept[:, 1, :r] @ b[:, 0]
+            np.conj(c, out=c)
+            t = kst[..., :r] @ c
+            t_du = t[:, 1]
+            t_du += kdt[..., :r] @ c[:, 0]
+            w = w - t[..., 0]
+        # the dual norm of v from the two dots _unit takes, one per group: the
+        # halves of w's rows hold v1, v2 (v3, v4) up to conjugation and sign,
+        # which leave the real parts of the products as they are
+        s = np.conj(w[:, :1])
+        st = np.sqrt((s @ w[:, 0, :, None]).real[:, 0])
+        keep = st[:, 0] > bounds[j]
+        if not keep.all():
+            if not keep.any():
+                continue
+            w, s, st, even = w[keep], s[keep], st[keep], False
+        du = (s @ w[:, 1, :, None]).real[:, 0] / st
+        v = w.reshape(-1, 4, n).transpose(1, 0, 2)
+        np.negative(np.conj(v[1::2]), out=v[1::2])
+        v = _scale_dual(v, 1.0 / st, -du / (st * st))
+        # u = (v1, -conj(v2); v3, -conj(v4)) and -Hu = (v2, conj(v1); v4, conj(v3))
+        # as rows (group, part, u or -Hu, 2n): straight into the next two rows
+        # of kept while the groups keep alike, else into each keeping group's
+        # own next two rows through a buffer
+        pair = kept[:, :, r : r + 2] if even else np.empty((len(st), 2, 2, m), np.complex128)
+        halves = pair.reshape(-1, 2, 2, 2, n)
+        halves[..., 0, :] = v.reshape(2, 2, -1, n).transpose(2, 0, 1, 3)
+        np.negative(np.conj(v[1::2].swapaxes(0, 1)), out=halves[:, :, 0, 1])
+        np.conj(v[0::2].swapaxes(0, 1), out=halves[:, :, 1, 1])
+        if not even:
+            at = np.flatnonzero(keep)
+            kept[at[:, None], :, 2 * counts[at, None] + np.arange(2)] = pair.swapaxes(1, 2)
+        counts += keep
+        r = r + 2 if even else 2 * int(counts.max())
+    # v1, v3 are the first halves of the u rows, v2, v4 those of the -Hu rows
+    return kept[..., :n].reshape(g, 2, k, 2, n).transpose(1, 3, 0, 2, 4), counts
 
 
 # relative gap below which squared moduli tie for the canonical phase
@@ -272,23 +286,22 @@ def _canonical_phase(x):
     return _dq_mul(x, c.T[:, :, None], np.multiply)
 
 
-def eddcam_ea(
-    q: DualQuaternionMatrix, tol_group: float = 1e-8, tol_rank: float = 1e-8
-) -> EigenResult:
+def eddcam_ea(q: DualQuaternionMatrix) -> EigenResult:
     """All eigenpairs of a dual quaternion Hermitian matrix, directly.
 
     Pipeline: adjoint -> dual complex eigendecomposition -> group the
-    adjoint eigenvector columns by equal dual-number eigenvalues -> check F^-1
-    of every column -> orthogonalize each group on the adjoint side. Each
-    group of adjoint multiplicity t yields exactly t/2 eigenvectors.
+    adjoint eigenvector columns by equal dual-number eigenvalues, within
+    TOL_GROUP -> check F^-1 of every column -> orthogonalize on the adjoint
+    side, one Gram-Schmidt per group size batched over the groups of that
+    size. Each group of adjoint multiplicity t must yield exactly t/2
+    eigenvectors, or ClusterInstability.
 
     A non-square Q raises NotHermitian with Q's shape. The Hermitian gate
     runs once, on the adjoint in the decomposition: its entries are those of
     Q's parts up to sign and conjugation, so it decides as a gate on Q would.
     """
-    _check_tol(tol_group=tol_group, tol_rank=tol_rank)
     _check_square(q.shape)
-    dec = eig_dual_complex_hermitian(adjoint(q), tol_group)
+    dec = eig_dual_complex_hermitian(adjoint(q))
     n = q.rows
     if n == 0:
         return EigenResult((), 0.0)
@@ -297,30 +310,26 @@ def eddcam_ea(
     # consecutive grouping: sigma is sorted descending in the dual order
     cut = np.zeros(len(st) - 1, dtype=bool)
     for a in (st, du):
-        cut |= np.abs(a[1:] - a[:-1]) > tol_group * max(1.0, float(np.abs(a).max()))
+        cut |= np.abs(a[1:] - a[:-1]) > TOL_GROUP * max(1.0, float(np.abs(a).max()))
     starts, sizes = _runs(cut)
     lam_st, lam_du = _run_means(st, starts, sizes), _run_means(du, starts, sizes)
 
     # F^-1 of every column of U_hat at once, and every candidate checked
-    cand = vec_map_f_inverse((s, d))
-    _check_eigenvectors(q, cand, np.repeat(lam_st, sizes), np.repeat(lam_du, sizes))
+    _check_eigenvectors(q, vec_map_f_inverse((s, d)), np.repeat(lam_st, sizes),
+                        np.repeat(lam_du, sizes))
 
-    # A group of adjoint multiplicity 2 is one eigenvector and its H-partner:
-    # Gram-Schmidt keeps the first candidate, normalised, and drops the second.
-    # That the second is redundant is checked for all such groups at once: a
-    # tiny tol_group can split a double eigenvalue into two groups of 2 that
-    # are not H-partners, and those go through Gram-Schmidt, whose count the
-    # check below then rejects.
-    twos = np.flatnonzero(sizes == 2)
-    first = starts[twos]
-    redundant = _redundant_partner(s.T[first], (s.T[first + 1], d.T[first + 1]), tol_rank)
-    shortcut = np.zeros(len(starts), dtype=bool)
-    shortcut[twos[redundant]] = True
-    gs = np.flatnonzero(~shortcut)
-    kept = [_gram_schmidt((s[:, a : a + k], d[:, a : a + k]), tol_rank)
-            for a, k in zip(starts[gs], sizes[gs])]
-    counts = np.ones(len(starts), dtype=int)
-    counts[gs] = [len(rows[0]) for rows in kept]
+    # one Gram-Schmidt over the columns of all groups of each size, in batches
+    # of at most GS_ENTRIES column entries, and the vectors each group keeps
+    counts = np.empty(len(starts), dtype=int)
+    picked = []
+    for k in set(sizes.tolist()):
+        same = np.flatnonzero(sizes == k)
+        step = max(1, GS_ENTRIES // (2 * n * k))
+        for first in range(0, len(same), step):
+            at = same[first : first + step]
+            rows, counts[at] = _gram_schmidt((s, d), starts[at, None] + np.arange(k), TOL_RANK)
+            mine = np.arange(k) < counts[at, None]
+            picked.append((at, mine, rows[:, :, mine]))
     if counts.sum() != n:
         raise ClusterInstability(f"recovered {counts.sum()} eigenvectors for dimension {n}; "
                                  "eigenvalue grouping is unstable at this tolerance")
@@ -328,9 +337,8 @@ def eddcam_ea(
     # every returned vector as a row of one (4, n, n) array of parts
     offsets = np.cumsum(counts) - counts
     x = np.empty((4, n, n), dtype=np.complex128)
-    x[:, offsets[shortcut]] = _unit_rows(cand.transpose(0, 2, 1)[:, starts[shortcut]])
-    for o, rows in zip(offsets[gs], kept):
-        x[:, o : o + len(rows[0])] = rows
+    for at, mine, kept in picked:
+        x.reshape(2, 2, n, n)[:, :, (offsets[at, None] + np.arange(mine.shape[1]))[mine]] = kept
     x = _canonical_phase(x)
     x.setflags(write=False)
 

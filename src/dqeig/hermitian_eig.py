@@ -8,6 +8,9 @@ from .errors import NoConvergence, NotHermitian
 
 __all__ = ["ComplexHermitianEig", "eig_hermitian"]
 
+# relative bound on the reconstruction residual of eig_hermitian
+TOL_RECON = 1e-10
+
 
 @dataclass(frozen=True)
 class ComplexHermitianEig:
@@ -18,13 +21,13 @@ class ComplexHermitianEig:
     vectors: np.ndarray
 
 
-def eig_hermitian(h, tol: float = 1e-10) -> ComplexHermitianEig:
+def eig_hermitian(h) -> ComplexHermitianEig:
     """Full eigendecomposition of a complex Hermitian matrix, or of each
     matrix in a (..., m, m) stack.
 
     Each matrix must be Hermitian within 1e-10 * max(1, its largest entry),
     otherwise NotHermitian, and its reconstruction residual must satisfy
-    |H - U diag(w) U*|_F <= tol * max(1, |H|_F), otherwise NoConvergence.
+    |H - U diag(w) U*|_F <= TOL_RECON * max(1, |H|_F), otherwise NoConvergence.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
@@ -40,12 +43,17 @@ def eig_hermitian(h, tol: float = 1e-10) -> ComplexHermitianEig:
     values = values[..., ::-1].copy()
     vectors = vectors[..., ::-1].copy()
     recon = (vectors * values[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
-    hnorm = np.linalg.norm(h, axis=(-2, -1))
-    if np.any(np.linalg.norm(h - recon, axis=(-2, -1)) > tol * np.maximum(1.0, hnorm)):
+    if np.any(_norm_f(h - recon) > TOL_RECON * np.maximum(1.0, _norm_f(h))):
         raise NoConvergence("reconstruction residual exceeds tolerance")
     values.setflags(write=False)
     vectors.setflags(write=False)
     return ComplexHermitianEig(values, vectors)
+
+
+def _norm_f(h):
+    """Frobenius norm of each matrix of a stack, as np.linalg.norm(h,
+    axis=(-2, -1)) forms it."""
+    return np.sqrt(np.add.reduce((h.conj() * h).real, axis=(-2, -1)))
 
 
 def _runs(cut):
@@ -68,7 +76,7 @@ def _run_means(x, starts, sizes):
     return means
 
 
-def _clusters(values, tol_group: float = 1e-8):
+def _clusters(values, tol_group: float):
     """(means, sizes) of the clusters of a descending eigenvalue array.
 
     Consecutive values within tol_group * max(1, max |values|) of each other

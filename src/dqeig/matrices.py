@@ -188,9 +188,23 @@ def _is_hermitian(parts, tol) -> bool:
     return all(np.abs(a - f(a).T).max(initial=0.0) <= tol for a, f in zip(parts, flips))
 
 
+# stacks of up to this many entries are squared and summed in one pass;
+# larger ones part by part, which keeps the temporaries small
+_ONE_PASS = 1 << 14
+
+
 def _norm_2r(x, axis=None):
-    """sqrt of the sum of squared moduli over all parts; per column with axis=0."""
-    return np.sqrt(sum([_sumsq(a, axis) for a in x]))
+    """sqrt of the sum of squared moduli over all parts; per column with
+    axis=0. Each part's squares are summed as _sumsq(part, axis) sums them,
+    and the parts' sums are added in part order."""
+    if isinstance(x, np.ndarray) and x.size <= _ONE_PASS:
+        sq = _sumsq(x, tuple(range(1, x.ndim)) if axis is None else axis % (x.ndim - 1) + 1)
+    else:
+        sq = [_sumsq(a, axis) for a in x]
+    total = sq[0]
+    for part in sq[1:]:
+        total = total + part
+    return np.sqrt(total)
 
 
 def _unit(x):
@@ -207,19 +221,6 @@ def _unit(x):
     out = np.zeros_like(x)
     out[:h] = x[h:] * (1.0 / du)
     return out
-
-
-def _unit_rows(x):
-    """_unit of every row of x, a stack of (k, n) parts whose rows have a
-    nonzero standard part. The two dots of each row run as one batched
-    matmul, which takes the BLAS dot np.vdot takes, so every row comes out
-    bit for bit as _unit would return it."""
-    h = len(x) // 2
-    s, d = np.concatenate(x[:h], -1), np.concatenate(x[h:], -1)
-    c = np.conj(s)[:, None, :]
-    st = np.sqrt((c @ s[:, :, None]).real[:, 0])
-    du = (c @ d[:, :, None]).real[:, 0] / st
-    return _scale_dual(x, 1.0 / st, -du / (st * st))
 
 
 def _eig_residual(a, x, st, du, axis=None):
@@ -320,9 +321,9 @@ class DualQuaternionMatrix(_Stacked):
         a1, a2, a3, a4 = self._parts
         return DualQuaternionMatrix(a1.conj().T, -a2.T, a3.conj().T, -a4.T)
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        """Whether every entry of Q - Q* is at most tol in modulus."""
-        return _is_hermitian(self._parts, tol)
+    def is_hermitian(self) -> bool:
+        """Whether every entry of Q - Q* is at most 1e-10 in modulus."""
+        return _is_hermitian(self._parts, 1e-10)
 
     def norm_fr(self) -> float:
         """sqrt of the sum of squared Frobenius norms of both parts."""

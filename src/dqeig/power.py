@@ -72,6 +72,9 @@ __all__ = [
 
 IMAG_DROP_TOL = 1e-10
 AITKEN_GUARD = 1e-14
+# a deflation sweep stops once the deflated matrix's 2R norm is at most
+# DEFLATE_TOL * max(1, its initial norm)
+DEFLATE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -364,13 +367,12 @@ def _spectrum_result(q, found, iterations):
     return EigenResult(pairs, residual, iterations)
 
 
-def _deflate(q: DualQuaternionMatrix, alg, cfg: PowerIterConfig, deflate_tol) -> EigenResult:
+def _deflate(q: DualQuaternionMatrix, alg, cfg: PowerIterConfig) -> EigenResult:
     """All eigenpairs by repeated dominant extraction and deflation of
     the matrix alg.parts; each inner loop restarts from the seeded random
     vector of its pair index."""
     n = q.rows
-    if deflate_tol is None:
-        deflate_tol = 1e-8 * max(1.0, float(_norm_2r(alg.parts)))
+    deflate_tol = DEFLATE_TOL * max(1.0, float(_norm_2r(alg.parts)))
     found = []
     iterations = 0
     for k in range(1, n + 1):
@@ -391,28 +393,24 @@ def _deflate(q: DualQuaternionMatrix, alg, cfg: PowerIterConfig, deflate_tol) ->
     return _spectrum_result(q, found, iterations)
 
 
-def dcama_pm(
-    q: DualQuaternionMatrix, cfg: PowerIterConfig, deflate_tol: float | None = None
-) -> EigenResult:
+def dcama_pm(q: DualQuaternionMatrix, cfg: PowerIterConfig) -> EigenResult:
     """All eigenpairs by repeated dominant extraction on the adjoint matrix.
 
     After each extraction the adjoint is deflated with both the eigenvector
     and its H-partner, which removes the full doubled multiplicity of that
-    eigenvalue. Stops after n pairs or when the deflated matrix drains below
-    deflate_tol (default 1e-8 * max(1, initial norm)). Each inner loop
-    restarts from a fresh seeded random vector. A non-converging inner loop
-    raises InnerNoConvergence with the partial result attached.
+    eigenvalue. Stops after n pairs or when the deflated matrix drains to
+    DEFLATE_TOL * max(1, initial norm). Each inner loop restarts from a
+    fresh seeded random vector. A non-converging inner loop raises
+    InnerNoConvergence with the partial result attached.
     """
-    return _deflate(q, _Adjoint(adjoint(q)), cfg, deflate_tol)
+    return _deflate(q, _Adjoint(adjoint(q)), cfg)
 
 
-def power_method_spectrum(
-    q: DualQuaternionMatrix, cfg: PowerIterConfig, deflate_tol: float | None = None
-) -> EigenResult:
+def power_method_spectrum(q: DualQuaternionMatrix, cfg: PowerIterConfig) -> EigenResult:
     """All eigenpairs by deflation in plain dual quaternion arithmetic.
 
     The reference full-spectrum driver: extract the dominant pair by power
     iteration in dual quaternion arithmetic, subtract lam * v v^*, repeat.
     Same stopping and failure contract as dcama_pm.
     """
-    return _deflate(q, _Quaternion(q._parts), cfg, deflate_tol)
+    return _deflate(q, _Quaternion(q._parts), cfg)

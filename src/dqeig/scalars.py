@@ -174,10 +174,6 @@ class Quaternion:
         return complex(self.w, self.x), complex(self.y, self.z)
 
     @classmethod
-    def from_complex_pair(cls, a: complex, b: complex) -> "Quaternion":
-        return cls(a.real, a.imag, b.real, b.imag)
-
-    @classmethod
     def one(cls) -> "Quaternion":
         return cls(1.0, 0.0, 0.0, 0.0)
 

@@ -33,7 +33,8 @@ def solve(
     Hermitian check first; eddcam_ea gates its adjoint itself. dcam and adcam
     start from v0, by default the random unit vector seeded by cfg.seed; a
     v0 whose length is not q.rows raises DimensionMismatch, and a non-finite
-    one ValueError.
+    one ValueError. The 0 x 0 matrix gives the empty converged result under
+    every algorithm.
     """
     if alg not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {alg!r}; expected one of {', '.join(ALGORITHMS)}")
@@ -41,12 +42,14 @@ def solve(
         return dual_eig.eddcam_ea(q)
     dual_eig._check_hermitian(q._parts)
     if alg in ("dcam", "adcam"):
+        if v0 is not None and v0.n != q.rows:
+            raise DimensionMismatch(f"start vector of length {v0.n} for a matrix of {q.rows} rows")
+        if v0 is not None and not np.isfinite(v0._parts).all():
+            raise ValueError("start vector v0 must be finite")
+        if q.rows == 0:
+            return EigenResult((), 0.0)
         if v0 is None:
             v0 = random_unit_vector(q.rows, np.random.default_rng(cfg.seed))
-        elif v0.n != q.rows:
-            raise DimensionMismatch(f"start vector of length {v0.n} for a matrix of {q.rows} rows")
-        elif not np.isfinite(v0._parts).all():
-            raise ValueError("start vector v0 must be finite")
         driver = power.dcam_pm if alg == "dcam" else power.adcam_pm
         lam, v, trace = driver(q, v0, cfg)
         residual = power.pair_residual(q, lam, v)

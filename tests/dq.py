@@ -1,6 +1,7 @@
-"""Dual quaternion helpers for the tests: entries, basis vectors, the
-Hermitian dot and outer products, right scaling and the norms, each on the
-parts stack of the objects and the kernels of dqeig.matrices."""
+"""Dual quaternion helpers for the tests: quaternions from complex pairs,
+entries, basis vectors, the Hermitian dot and outer products, right scaling,
+the norms and the Hermitian test at a given tolerance, each on the parts
+stack of the objects and the kernels of dqeig.matrices."""
 
 import numpy as np
 
@@ -10,10 +11,16 @@ from dqeig.matrices import (
     _dq_dot,
     _dq_mul,
     _dual_norm,
+    _is_hermitian,
     _norm_2r,
     _scale_dual,
 )
 from dqeig.scalars import DualNumber, DualQuaternion, Quaternion
+
+
+def quaternion(a: complex, b: complex) -> Quaternion:
+    """The quaternion a + b j of the complex pair (a, b)."""
+    return Quaternion(a.real, a.imag, b.real, b.imag)
 
 
 def max_abs_diff(a, b):
@@ -24,9 +31,7 @@ def max_abs_diff(a, b):
 def entry(x, *index) -> DualQuaternion:
     """The entry of a dual quaternion matrix or vector at index."""
     a1, a2, a3, a4 = (complex(a[index]) for a in x._parts)
-    return DualQuaternion(
-        Quaternion.from_complex_pair(a1, a2), Quaternion.from_complex_pair(a3, a4)
-    )
+    return DualQuaternion(quaternion(a1, a2), quaternion(a3, a4))
 
 
 def identity(n: int) -> DualQuaternionMatrix:
@@ -46,9 +51,7 @@ def basis(n: int, i: int) -> DualQuaternionVector:
 def dot(x, y) -> DualQuaternion:
     """conj(x)^T y of two dual quaternion vectors."""
     s1, s2, d1, d2 = map(complex, _dq_dot(x._parts, y._parts))
-    return DualQuaternion(
-        Quaternion.from_complex_pair(s1, s2), Quaternion.from_complex_pair(d1, d2)
-    )
+    return DualQuaternion(quaternion(s1, s2), quaternion(d1, d2))
 
 
 def outer(x, y) -> DualQuaternionMatrix:
@@ -84,3 +87,8 @@ def dual_norm(x) -> DualNumber:
 def norm_2r(x) -> float:
     """sqrt of the sum of squared moduli over all parts."""
     return float(_norm_2r(x._parts))
+
+
+def is_hermitian(x, tol: float) -> bool:
+    """Whether every entry of X - X* is at most tol in modulus."""
+    return _is_hermitian(x._parts, tol)

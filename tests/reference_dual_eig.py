@@ -12,7 +12,8 @@ close the stacked version must come to it.
 gram_schmidt and redundant_second are the array kernels that picked the
 eigenvectors in 4-part dual quaternion arithmetic before the selection moved
 to the adjoint side; they are kept as references for the adjoint-side
-Gram-Schmidt and partner check.
+Gram-Schmidt, for the vectors it keeps and for the second columns of groups
+of 2 it drops.
 """
 
 import numpy as np

@@ -16,7 +16,9 @@ from dqeig.matrices import (
 )
 from dqeig.power import PowerIterConfig
 from dqeig.scalars import DualQuaternion, Quaternion
-from tests.dq import basis, dual_norm, identity, max_abs_diff, norm_2r, scale_right
+from tests.dq import (
+    basis, dual_norm, identity, is_hermitian, max_abs_diff, norm_2r, quaternion, scale_right,
+)
 from tests.test_matrices import rand_dq_matrix, rand_dq_vector
 
 # The adjoint side is plain (st, du) pairs of complex arrays. These helpers
@@ -61,9 +63,7 @@ def eigen_residuals(q, lam, v):
     the complex pair (st, du): |Q v - v lam|, |P u - lam u| with u = F(v),
     and |P Hu - conj(lam) Hu|. They agree up to rounding whenever the
     adjoint map is right, whether or not (lam, v) is an eigenpair."""
-    lam_dq = DualQuaternion(
-        Quaternion.from_complex_pair(lam[0], 0j), Quaternion.from_complex_pair(lam[1], 0j)
-    )
+    lam_dq = DualQuaternion(quaternion(lam[0], 0j), quaternion(lam[1], 0j))
     p, u = adjoint(q), vec_map_f(v._parts)
     hu = vec_map_h(u)
     return (
@@ -132,7 +132,7 @@ class TestAdjointMap:
         h = adjoint(random_hermitian(4, rng))
         assert max_abs_diff(h, dc_conj_t(h)) <= 1e-12
         p = rand_dq_matrix(4, 4, rng)
-        if not p.is_hermitian(1e-6):
+        if not is_hermitian(p, 1e-6):
             a = adjoint(p)
             assert not max_abs_diff(a, dc_conj_t(a)) <= 1e-6
 

@@ -16,8 +16,8 @@ from dqeig.matrices import (
     _is_hermitian,
     _norm_2r,
     _scale_dual,
+    _sumsq,
     _unit,
-    _unit_rows,
     random_unit_vector,
 )
 from dqeig.scalars import DualNumber, DualQuaternion, Quaternion
@@ -28,6 +28,7 @@ from tests.dq import (
     dual_norm,
     entry,
     identity,
+    is_hermitian,
     max_abs_diff,
     norm_2r,
     outer,
@@ -227,17 +228,6 @@ class TestUnitProjection:
         assert abs(nrm.st - 1.0) <= 1e-12 and abs(nrm.du) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 10, 150])
-    def test_stacked_rows_are_unit_bit_for_bit(self, n):
-        rng = np.random.default_rng(n)
-        for parts in (4, 2):
-            x = tuple(rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
-                      for _ in range(parts))
-            got = _unit_rows(x)
-            for k in range(6):
-                want = _unit(np.stack([a[k] for a in x]))
-                assert all(g[k].tobytes() == w.tobytes() for g, w in zip(got, want))
-
-    @pytest.mark.parametrize("n", [1, 10, 150])
     def test_unit_is_the_scaling_by_the_dual_norm_bit_for_bit(self, n):
         # one normalization formula: _unit scales by the reciprocal of the
         # (st, du) that _dual_norm reduces, for a stack and for a strided view
@@ -305,9 +295,25 @@ def test_is_hermitian_compares_the_entries_of_q_minus_q_star(seed):
     for q in (rand_dq_matrix(5, 5, rng), rand_hermitian(5, rng)):
         q = q + q.conj_transpose() * 0.5 if seed % 2 else q
         dev = max_abs_diff(q._parts, q.conj_transpose()._parts)
-        assert _is_hermitian(q._parts, dev) and q.is_hermitian(dev)
-        below = np.nextafter(dev, 0.0)
-        assert _is_hermitian(q._parts, below) == q.is_hermitian(below) == (dev == 0.0)
+        assert is_hermitian(q, dev)
+        assert is_hermitian(q, np.nextafter(dev, 0.0)) == (dev == 0.0)
+        assert q.is_hermitian() == is_hermitian(q, 1e-10) == (dev <= 1e-10)
+
+
+@pytest.mark.parametrize("shape", [(4, 10, 20), (2, 20, 20), (4, 3), (4, 40, 120), (4, 5, 7, 9)])
+@pytest.mark.parametrize("axis", [None, 0, -1])
+def test_norm_2r_of_a_stack_is_the_part_by_part_sum_bit_for_bit(shape, axis):
+    # a stack at or below _ONE_PASS entries is reduced in one pass, a larger
+    # one (4 x 40 x 120) part by part; both match summing each part alone, for
+    # a stack, its tuple of parts and a stack whose parts are transposed in
+    # memory, which numpy sums in another order
+    rng = np.random.default_rng(len(shape))
+    x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.integers(
+        -3, 4, shape)
+    flip = (0, *range(x.ndim - 1, 0, -1))
+    for stack in (x, tuple(x), x.transpose(flip).copy().transpose(flip)):
+        want = np.sqrt(sum([_sumsq(a, axis) for a in stack]))
+        assert np.asarray(_norm_2r(stack, axis)).tobytes() == np.asarray(want).tobytes()
 
 
 @pytest.mark.parametrize("part", range(4))

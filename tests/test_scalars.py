@@ -11,6 +11,7 @@ from dqeig.scalars import (
     Quaternion,
     project_unit_dual_quaternion,
 )
+from tests.dq import quaternion
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 duals = st.builds(DualNumber, finite, finite)
@@ -141,7 +142,7 @@ class TestQuaternion:
     def test_complex_pair_round_trip(self):
         p = q(1.0, -2.0, 0.5, 3.0)
         a, b = p.as_complex_pair()
-        assert Quaternion.from_complex_pair(a, b) == p
+        assert quaternion(a, b) == p
 
 
 def test_ring_laws_random_sample():

@@ -10,7 +10,7 @@ import pytest
 import dqeig
 from dqeig import power
 from dqeig.bench import build_laplacian, pentagon_fixture, random_graph, random_hermitian
-from dqeig.dual_eig import eddcam_ea
+from dqeig.dual_eig import EigenResult, eddcam_ea
 from dqeig.errors import DimensionMismatch, InnerNoConvergence, NotHermitian
 from dqeig.matrices import DualQuaternionMatrix, DualQuaternionVector, random_unit_vector
 from dqeig.power import (
@@ -166,3 +166,10 @@ def test_a_non_finite_start_vector_raises_before_the_loop(alg, bad, monkeypatch)
     parts[2, 1] = bad
     with pytest.raises(ValueError, match="finite"):
         solve(random_hermitian(4, 1), alg, CFG, DualQuaternionVector(*parts))
+
+
+@pytest.mark.parametrize("alg", ALGORITHMS)
+def test_the_empty_matrix_gives_the_empty_converged_result_for_every_algorithm(alg):
+    # dcam and adcam return it before drawing a start vector, which cannot be
+    # normalised at length 0
+    assert solve(DualQuaternionMatrix.from_entries([]), alg, CFG) == EigenResult((), 0.0)
