@@ -52,7 +52,7 @@ TOL_GROUP = 1e-8
 TOL_RANK = 1e-8
 # the most column entries one batched Gram-Schmidt takes, which bounds its
 # temporaries to a few MB at n = 200
-GS_ENTRIES = 1 << 16
+GS_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,13 +173,13 @@ def _check_eigenvectors(q: DualQuaternionMatrix, x, st, du) -> None:
         raise NotAnEigenvector(f"candidate residual {res[k]:.3e} too large for {lam}")
 
 
-def _gram_schmidt(x, groups, tol_rank: float):
+def _gram_schmidt(x, tol_rank: float):
     """Classical Gram-Schmidt in dual complex arithmetic over the columns
-    F(v) of x, a (st, du) tuple of arrays with 2n rows, run at once for the
-    g groups of columns that the rows of the (g, k) index array groups list.
-    In each group, each column minus its projections onto the rows the group
-    has kept, taken as one stacked product, is kept unless the standard part
-    of that remainder w has norm at most tol_rank * max(1, |column|_2R).
+    F(v) of x, a (st, du) tuple of (g, 2n, k) arrays, run at once for the g
+    groups of k columns that x[0][i], x[1][i] hold. In each group, each
+    column minus its projections onto the rows the group has kept, taken as
+    one stacked product, is kept unless the standard part of that remainder
+    w has norm at most tol_rank * max(1, |column|_2R).
     v = F^-1(w) is normalised as _unit would, and u = F(v) and
     F(v conj(j)) = -Hu are kept as rows: projecting onto both is projecting
     onto the quaternion line of v. Every group projects onto as many rows as
@@ -188,13 +188,13 @@ def _gram_schmidt(x, groups, tol_rank: float):
     c = counts[i], of a (2, 2, g, k, n) view whose first two axes index the
     parts (v1, v2; v3, v4).
     """
-    g, k = groups.shape
-    m = len(x[0])
+    g, m, k = x[0].shape
     n = m // 2
     # column j of every group as one (2, 2n) row; as (4, n) its halves sit in
     # the slots of the parts (v1, v2, v3, v4), v2 and v4 as -conj(v2) and -conj(v4)
-    cols = np.stack((x[0].T[groups.T], x[1].T[groups.T]), axis=2)
-    bounds = tol_rank * np.maximum(1.0, _norm_2r(cols.reshape(k, g, 4, n).transpose(2, 0, 1, 3), -1))
+    cols = np.ascontiguousarray(np.stack(x, axis=1).transpose(3, 0, 1, 2))
+    parts = cols.reshape(k, g, 4, n).transpose(2, 0, 1, 3)
+    bounds = tol_rank * np.maximum(1.0, _norm_2r(parts, -1))
     kept = np.zeros((g, 2, 2 * k, m), dtype=np.complex128)
     # views of the kept standard rows, as (g, 1, 2k, 2n) and transposed, and
     # of the kept dual rows transposed
@@ -327,7 +327,9 @@ def eddcam_ea(q: DualQuaternionMatrix) -> EigenResult:
         step = max(1, GS_ENTRIES // (2 * n * k))
         for first in range(0, len(same), step):
             at = same[first : first + step]
-            rows, counts[at] = _gram_schmidt((s, d), starts[at, None] + np.arange(k), TOL_RANK)
+            cols = starts[at, None] + np.arange(k)
+            rows, counts[at] = _gram_schmidt(
+                (s[:, cols].transpose(1, 0, 2), d[:, cols].transpose(1, 0, 2)), TOL_RANK)
             mine = np.arange(k) < counts[at, None]
             picked.append((at, mine, rows[:, :, mine]))
     if counts.sum() != n:

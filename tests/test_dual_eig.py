@@ -35,7 +35,7 @@ def orthogonalize(vs, q, lam, tol_rank=1e-8):
     x = tuple(np.stack(part, axis=1) for part in zip(*(v._parts for v in vs)))
     _check_eigenvectors(q, x, np.full(len(vs), lam.st), np.full(len(vs), lam.du))
     f = (np.concatenate([x[0], -x[1].conj()]), np.concatenate([x[2], -x[3].conj()]))
-    rows, (count,) = _gram_schmidt(f, np.arange(len(vs))[None], tol_rank)
+    rows, (count,) = _gram_schmidt((f[0][None], f[1][None]), tol_rank)
     return [DualQuaternionVector(*w) for w in zip(*rows[:, :, 0, :count].reshape(4, count, -1))]
 
 

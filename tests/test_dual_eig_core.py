@@ -216,8 +216,9 @@ def test_a_group_of_two_drops_its_second_column_only_on_the_line_of_the_first():
     (_, (v,)), (_, (w,)) = dual_eig.eddcam_ea(q).pairs[:2]
     j = DualQuaternion(Quaternion(0.0, 0.0, 1.0, 0.0), Quaternion())
     x, y = stacked([v, v]), stacked([scale_right(v, j), w])
-    f = tuple(np.concatenate([a, b], axis=1) for a, b in zip(vec_map_f(x), vec_map_f(y)))
-    _, counts = dual_eig._gram_schmidt(f, np.array([[0, 2], [1, 3]]), dual_eig.TOL_RANK)
+    groups = tuple(np.stack([a, b], axis=-1).transpose(1, 0, 2)
+                   for a, b in zip(vec_map_f(x), vec_map_f(y)))
+    _, counts = dual_eig._gram_schmidt(groups, dual_eig.TOL_RANK)
     assert (counts == 1).tolist() == ref.redundant_second(x, y).tolist() == [True, False]
 
 
@@ -242,7 +243,7 @@ def test_large_groups_include_the_zero_group_of_a_sparse_n200_laplacian():
 
 @pytest.mark.parametrize("name,x", LARGE_GROUPS, ids=[name for name, _ in LARGE_GROUPS])
 def test_adjoint_gram_schmidt_spans_the_dual_quaternion_reference(name, x):
-    rows, (count,) = dual_eig._gram_schmidt(x, np.arange(len(x[0][0]))[None], 1e-8)
+    rows, (count,) = dual_eig._gram_schmidt((x[0][None], x[1][None]), 1e-8)
     got_rows = rows[:, :, 0, :count].reshape(4, count, -1)
     want_rows = ref.gram_schmidt(vec_map_f_inverse(x))
     # the first kept vector is normalised as _unit normalises it
@@ -271,11 +272,12 @@ def test_a_batch_of_groups_gives_each_group_what_it_gives_alone(k):
     # last: it drops the repeat, so for k > 2 it has kept fewer vectors than
     # the first group at the next step and projects onto rows left zero
     groups = np.vstack([groups, np.insert(groups[0, :-1], 0, groups[0, 0])])
-    x = dec.u_st, dec.u_du
-    rows, counts = dual_eig._gram_schmidt(x, groups, dual_eig.TOL_RANK)
+    x = tuple(a[:, groups].transpose(1, 0, 2) for a in (dec.u_st, dec.u_du))
+    rows, counts = dual_eig._gram_schmidt(x, dual_eig.TOL_RANK)
     assert counts.tolist() == [k // 2] * len(groups)
     for i in range(len(groups)):
-        alone, (count,) = dual_eig._gram_schmidt(x, groups[i : i + 1], dual_eig.TOL_RANK)
+        alone, (count,) = dual_eig._gram_schmidt((x[0][i : i + 1], x[1][i : i + 1]),
+                                                 dual_eig.TOL_RANK)
         assert count == counts[i]
         assert rows[:, :, i, :count].tobytes() == alone[:, :, 0, :count].tobytes()
 
@@ -284,12 +286,12 @@ def test_a_batch_of_groups_gives_each_group_what_it_gives_alone(k):
 def test_gram_schmidt_normalises_a_kept_column_as_unit_does_bit_for_bit(n):
     # every group's first column is kept, as F^-1 of it normalised by _unit
     rng = np.random.default_rng(n)
-    x = tuple(rng.standard_normal((2 * n, 6)) + 1j * rng.standard_normal((2 * n, 6))
+    x = tuple(rng.standard_normal((6, 2 * n, 1)) + 1j * rng.standard_normal((6, 2 * n, 1))
               for _ in range(2))
-    rows, counts = dual_eig._gram_schmidt(x, np.arange(6)[:, None], dual_eig.TOL_RANK)
+    rows, counts = dual_eig._gram_schmidt(x, dual_eig.TOL_RANK)
     assert counts.tolist() == [1] * 6
     for i in range(6):
-        want = _unit(vec_map_f_inverse((x[0][:, i], x[1][:, i])))
+        want = _unit(vec_map_f_inverse((x[0][i, :, 0], x[1][i, :, 0])))
         assert rows[:, :, i, 0].tobytes() == want.tobytes()
 
 
