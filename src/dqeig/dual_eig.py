@@ -40,7 +40,7 @@ from .errors import ClusterInstability, DimensionMismatch, NotAnEigenvector, Not
 from .hermitian_eig import _clusters, _run_means, _runs, eig_hermitian
 from .matrices import (
     DualQuaternionMatrix, DualQuaternionVector, _carr, _dq_mul, _eig_residual, _is_hermitian,
-    _norm_2r, _scale_dual,
+    _norm_2r, _scale_dual, _sumsq,
 )
 from .scalars import DualNumber
 
@@ -141,7 +141,7 @@ def eig_dual_complex_hermitian(p) -> DualEigenDecomposition:
     starts = np.cumsum(counts) - counts
     v = np.zeros_like(u)
     mu = np.zeros(len(u))
-    for size in set(counts.tolist()):
+    for size in np.unique(counts):
         idx = starts[counts == size, None] + np.arange(size)
         rows, cols = idx[:, :, None], idx[:, None, :]
         blocks = p2[rows, cols]
@@ -193,8 +193,7 @@ def _gram_schmidt(x, tol_rank: float):
     # column j of every group as one (2, 2n) row; as (4, n) its halves sit in
     # the slots of the parts (v1, v2, v3, v4), v2 and v4 as -conj(v2) and -conj(v4)
     cols = np.ascontiguousarray(np.stack(x, axis=1).transpose(3, 0, 1, 2))
-    parts = cols.reshape(k, g, 4, n).transpose(2, 0, 1, 3)
-    bounds = tol_rank * np.maximum(1.0, _norm_2r(parts, -1))
+    bounds = tol_rank * np.maximum(1.0, np.sqrt(_sumsq(cols, (2, 3))))
     kept = np.zeros((g, 2, 2 * k, m), dtype=np.complex128)
     # views of the kept standard rows, as (g, 1, 2k, 2n) and transposed, and
     # of the kept dual rows transposed
@@ -322,7 +321,7 @@ def eddcam_ea(q: DualQuaternionMatrix) -> EigenResult:
     # of at most GS_ENTRIES column entries, and the vectors each group keeps
     counts = np.empty(len(starts), dtype=int)
     picked = []
-    for k in set(sizes.tolist()):
+    for k in np.unique(sizes):
         same = np.flatnonzero(sizes == k)
         step = max(1, GS_ENTRIES // (2 * n * k))
         for first in range(0, len(same), step):

@@ -43,17 +43,12 @@ def eig_hermitian(h) -> ComplexHermitianEig:
     values = values[..., ::-1].copy()
     vectors = vectors[..., ::-1].copy()
     recon = (vectors * values[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
-    if np.any(_norm_f(h - recon) > TOL_RECON * np.maximum(1.0, _norm_f(h))):
+    hnorm = np.linalg.norm(h, axis=(-2, -1))
+    if np.any(np.linalg.norm(h - recon, axis=(-2, -1)) > TOL_RECON * np.maximum(1.0, hnorm)):
         raise NoConvergence("reconstruction residual exceeds tolerance")
     values.setflags(write=False)
     vectors.setflags(write=False)
     return ComplexHermitianEig(values, vectors)
-
-
-def _norm_f(h):
-    """Frobenius norm of each matrix of a stack, as np.linalg.norm(h,
-    axis=(-2, -1)) forms it."""
-    return np.sqrt(np.add.reduce((h.conj() * h).real, axis=(-2, -1)))
 
 
 def _runs(cut):

