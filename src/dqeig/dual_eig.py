@@ -3,9 +3,9 @@ eigenpair solver (EDDCAM-EA) for dual quaternion Hermitian matrices.
 
 The dual complex decomposition is direct. Write P = P1 + P2*eps. A unitary U
 diagonalizes P1 into clusters lam_i of multiplicity n_i. In the rotated frame
-the dual part couples clusters; diagonalizing each diagonal block of
-U* P2 U with a block-diagonal V fixes the dual parts mu, and the off-diagonal
-coupling is absorbed to first order by T with
+the dual part couples clusters; diagonalizing each diagonal block of U* P2 U
+with a block-diagonal V fixes the dual parts mu, and T absorbs the
+off-diagonal coupling to first order:
 
     T_ii = 0,   T_ij = Q_ij / (lam_j - lam_i),   Q = V* U* P2 U V.
 
@@ -13,33 +13,23 @@ Then U_hat = U V (I + T*eps) is unitary and U_hat* P U_hat is the diagonal of
 dual numbers lam_i + mu_ij*eps.
 
 EDDCAM-EA applies this to the adjoint of a dual quaternion Hermitian matrix,
-where every eigenvalue shows up with doubled multiplicity, and picks the
-eigenvectors on the adjoint side. A column u = F(v) of U_hat and its partner
-Hu = F(v j) are orthogonal, and their span under the dual complex inner
-product is the image under F of the quaternion line of v. So a group of
-adjoint multiplicity t holds t/2 eigenvectors, which one Gram-Schmidt over
-its (st, du) columns, keeping u and Hu of each vector it keeps, finds; it
-runs batched over the groups of one size, as the block eigh does. Only the
-kept vectors are mapped back with F^-1.
-
-The other stages are stacked array operations on the arrays the decomposition
-hands over: one batched eigh per cluster block size, T in one masked division,
-one check of F^-1 of every column of U_hat, and the returned vectors as the
-rows of one (4, n, n) stack of parts, phased, checked for e_lambda and made
-read-only at once, each vector object a view of its row. Every
-normalization takes the two BLAS dots of the per-vector kernels in
-dqeig.matrices, so a kept vector gives bit for bit what they would give.
+where every eigenvalue shows up doubled. A column u = F(v) and Hu = F(v j)
+span the image under F of the quaternion line of v, on which U* P2 U is
+mu I: a cluster of 2 takes V = I and mu = Re(u* P2 u), and a group of 2
+returns its first column once a rank test finds its second on that span.
+Gram-Schmidt, keeping u and Hu of each vector it keeps, picks the t/2
+eigenvectors of every larger group of t columns, batched per group size.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import adjoint, vec_map_f_inverse
+from .adjoint import adjoint, vec_map_f, vec_map_f_inverse
 from .errors import ClusterInstability, DimensionMismatch, NotAnEigenvector, NotHermitian
-from .hermitian_eig import _clusters, _run_means, _runs, eig_hermitian
+from .hermitian_eig import TOL_RECON, _clusters, _eigh, _runs
 from .matrices import (
-    DualQuaternionMatrix, DualQuaternionVector, _carr, _dq_mul, _eig_residual, _is_hermitian,
+    DualQuaternionMatrix, DualQuaternionVector, _asymmetry, _carr, _dq_mul, _eig_residual,
     _norm_2r, _scale_dual, _sumsq,
 )
 from .scalars import DualNumber
@@ -58,8 +48,7 @@ GS_ENTRIES = 1 << 15
 @dataclass(frozen=True, eq=False)
 class DualEigenDecomposition:
     """Unitary dual complex U_hat = u_st + u_du eps and the diagonal sigma of
-    dual numbers lam + mu eps, kept as read-only arrays; sigma builds the
-    DualNumber objects when asked."""
+    dual numbers lam + mu eps, as read-only arrays; sigma builds DualNumbers."""
 
     lam: np.ndarray
     mu: np.ndarray
@@ -103,28 +92,34 @@ def _check_square(shape) -> None:
         raise NotHermitian(f"matrix is not square: {shape}")
 
 
-def _check_hermitian(parts) -> None:
-    """NotHermitian unless the matrix with these parts is square and, by
-    _is_hermitian, Hermitian within 1e-10 * max(1, its largest entry). The
-    parts are (a1, a2, a3, a4) of a dual quaternion matrix Q or (st, du) of a
-    dual complex one. The differences of the adjoint of Q are those of Q up
-    to sign and conjugation, so a gate on either decides alike."""
+def _check_hermitian(parts):
+    """NotHermitian unless the matrix with parts (a1, a2, a3, a4) of a dual
+    quaternion Q, or (st, du) of Q's adjoint, which has Q's differences up to
+    sign and conjugation, is square and no part's _asymmetry passes 1e-10 *
+    max(1, its largest entry). Returns the asymmetries and largest entries."""
     _check_square(parts[0].shape)
-    tol = 1e-10 * max(1.0, *(float(np.abs(a).max(initial=0.0)) for a in parts))
-    if not _is_hermitian(parts, tol):
+    big, asym = [float(np.abs(a).max(initial=0.0)) for a in parts], _asymmetry(parts)
+    if not all(d <= 1e-10 * max(1.0, *big) for d in asym):
         raise NotHermitian("matrix is not Hermitian within 1e-10 of its largest entry")
+    return asym, big
 
 
 def eig_dual_complex_hermitian(p) -> DualEigenDecomposition:
     """Eigendecomposition of the dual complex Hermitian matrix p, the pair
     (st, du) of its parts: 2-d arrays of one shape, or DimensionMismatch.
-    Eigenvalues of P1 within TOL_GROUP * max(1, max |lam|) share a cluster,
-    and clusters closer than ten times that raise ClusterInstability."""
+    Past _check_hermitian, st must be Hermitian within 1e-10 * max(1, its own
+    largest entry), as eig_hermitian holds it. Eigenvalues of P1 within
+    TOL_GROUP * max(1, max |lam|) share a cluster, and clusters closer than
+    ten times that raise ClusterInstability. A cluster of 2 takes V = I and
+    mu = Re(u* P2 u) of its first column u when |block - mu I|_F <= TOL_RECON *
+    max(1, |block|_F), eigh's reconstruction bound; other blocks take eigh."""
     st, du = (_carr(a, 2) for a in p)
     if st.shape != du.shape:
         raise DimensionMismatch(f"parts of shapes {st.shape} and {du.shape}")
-    _check_hermitian((st, du))
-    base = eig_hermitian(st)
+    asym, big = _check_hermitian((st, du))
+    if asym[0] > 1e-10 * max(1.0, big[0]):
+        raise NotHermitian("matrix is not Hermitian within 1e-10")
+    base = _eigh(st)
     values, counts = _clusters(base.values, TOL_GROUP)
     scale = max(1.0, abs(values[0]), abs(values[-1])) if values.size else 1.0
     gaps = values[:-1] - values[1:]
@@ -136,71 +131,71 @@ def eig_dual_complex_hermitian(p) -> DualEigenDecomposition:
     u = base.vectors
     p2 = u.conj().T @ du @ u
 
-    # diagonalize the diagonal blocks of the rotated dual part, all blocks of
-    # one size in one batched eigh
+    # the blocks of one size, made exactly Hermitian, in one batched eigh
     starts = np.cumsum(counts) - counts
-    v = np.zeros_like(u)
-    mu = np.zeros(len(u))
-    for size in np.unique(counts):
+    mu = p2.diagonal().real.copy()
+    v = None
+    for size in set(counts.tolist()):
         idx = starts[counts == size, None] + np.arange(size)
-        rows, cols = idx[:, :, None], idx[:, None, :]
-        blocks = p2[rows, cols]
-        sub = eig_hermitian(0.5 * (blocks + blocks.conj().swapaxes(-1, -2)))
-        v[rows, cols] = sub.vectors
-        mu[idx] = sub.values
+        blocks = p2[idx[:, :, None], idx[:, None, :]]
+        if size == 2:
+            dev = _sumsq(blocks - mu[idx[:, :1, None]] * np.eye(2), (1, 2))
+            scalar = dev <= TOL_RECON**2 * np.maximum(1.0, _sumsq(blocks, (1, 2)))
+            mu[idx[scalar, 1]] = mu[idx[scalar, 0]]
+            idx, blocks = idx[~scalar], blocks[~scalar]
+        if len(idx):
+            sub = _eigh(0.5 * (blocks + blocks.conj().swapaxes(-1, -2)))
+            v = np.eye(len(u), dtype=np.complex128) if v is None else v
+            v[idx[:, :, None], idx[:, None, :]] = sub.vectors
+            mu[idx] = sub.values
 
     # T_ij = Q_ij / (lam_j - lam_i) between distinct clusters, 0 within one
     lam = np.repeat(values, counts)
-    cluster_id = np.repeat(np.arange(len(counts)), counts)
-    q = v.conj().T @ p2 @ v
+    q, u_st = (p2, u) if v is None else (v.conj().T @ p2 @ v, u @ v)
     t = np.zeros_like(q)
-    np.divide(q, lam - lam[:, None], out=t, where=cluster_id != cluster_id[:, None])
-
-    u_st = u @ v
+    np.divide(q, lam - lam[:, None], out=t, where=lam != lam[:, None])
     return DualEigenDecomposition(lam, mu, u_st, u_st @ t)
 
 
-def _check_eigenvectors(q: DualQuaternionMatrix, x, st, du) -> None:
-    """NotAnEigenvector unless every column of x (a stack of n x k parts)
-    satisfies Q x = x (st[j] + du[j] eps) to residual
-    1e-8 * max(1, |Q|_F) * max(1, |x|_2R)."""
-    scale = max(1.0, q.norm_fr())
-    res = _eig_residual(q._parts, x, st, du, axis=0)
-    bad = np.flatnonzero(res > 1e-8 * scale * np.maximum(1.0, _norm_2r(x, axis=0)))
+def _check_eigenvectors(q, x, st, du):
+    """NotAnEigenvector unless every column of x, n x k parts with q the
+    DualQuaternionMatrix Q or 2n x k columns (st, du) with q Q's adjoint, of
+    2R norm sqrt(2) |Q|_F, satisfies Q x = x (st[j] + du[j] eps) to residual
+    1e-8 * max(1, |Q|_F) * max(1, |x|_2R). Returns max(1, |x|_2R) per column."""
+    a = q._parts if isinstance(q, DualQuaternionMatrix) else q
+    res = _eig_residual(a, x, st, du, axis=0)
+    scale = q.norm_fr() if len(a) == 4 else np.sqrt(sum(np.vdot(b, b).real for b in a) / 2)
+    big = np.maximum(1.0, _norm_2r(x, axis=0))
+    bad = np.flatnonzero(res > 1e-8 * max(1.0, scale) * big)
     if bad.size:
         k = bad[0]
         lam = DualNumber(float(st[k]), float(du[k]))
         raise NotAnEigenvector(f"candidate residual {res[k]:.3e} too large for {lam}")
+    return big
 
 
 def _gram_schmidt(x, tol_rank: float):
     """Classical Gram-Schmidt in dual complex arithmetic over the columns
-    F(v) of x, a (st, du) tuple of (g, 2n, k) arrays, run at once for the g
-    groups of k columns that x[0][i], x[1][i] hold. In each group, each
-    column minus its projections onto the rows the group has kept, taken as
-    one stacked product, is kept unless the standard part of that remainder
-    w has norm at most tol_rank * max(1, |column|_2R).
-    v = F^-1(w) is normalised as _unit would, and u = F(v) and
-    F(v conj(j)) = -Hu are kept as rows: projecting onto both is projecting
-    onto the quaternion line of v. Every group projects onto as many rows as
-    the fullest group has kept, its own unfilled rows being zero. Returns
-    (rows, counts): group i keeps the counts[i] vectors rows[:, :, i, :c],
-    c = counts[i], of a (2, 2, g, k, n) view whose first two axes index the
-    parts (v1, v2; v3, v4).
+    F(v) of x, a (st, du) tuple of (g, 2n, k) arrays, at once for the g groups
+    of k columns x[0][i], x[1][i]. Each column minus its projections onto the
+    rows its group has kept (as many as the fullest group; unfilled ones are
+    zero) is kept unless the standard part of that remainder w has norm at
+    most tol_rank * max(1, |column|_2R); v = F^-1(w), normalised as _unit
+    would, is kept as the rows u = F(v) and -Hu, which span its line.
+    Returns (rows, counts): group i keeps rows[:, :, i, :counts[i]] of a
+    (2, 2, g, k, n) view whose first two axes index the parts (v1, v2; v3, v4).
     """
     g, m, k = x[0].shape
     n = m // 2
-    # column j of every group as one (2, 2n) row; as (4, n) its halves sit in
-    # the slots of the parts (v1, v2, v3, v4), v2 and v4 as -conj(v2) and -conj(v4)
+    # column j of every group as one (2, 2n) row, whose halves hold v1, v2, v3,
+    # v4 as (4, n) rows, v2 and v4 as -conj(v2) and -conj(v4)
     cols = np.ascontiguousarray(np.stack(x, axis=1).transpose(3, 0, 1, 2))
     bounds = tol_rank * np.maximum(1.0, np.sqrt(_sumsq(cols, (2, 3))))
     kept = np.zeros((g, 2, 2 * k, m), dtype=np.complex128)
-    # views of the kept standard rows, as (g, 1, 2k, 2n) and transposed, and
-    # of the kept dual rows transposed
+    # the kept standard rows, as (g, 1, 2k, 2n) and transposed; dual, transposed
     ks, kst, kdt = kept[:, None, 0], kept[:, None, 0].swapaxes(2, 3), kept[:, 1].swapaxes(1, 2)
     counts = np.zeros(g, dtype=int)
-    # rows the fullest group has kept; while every group has kept alike
-    # (even), the next two rows are one slice of kept for all of them
+    # rows the fullest group has kept; while all have kept alike, one slice
     r, even = 0, True
     for j in range(k):
         w = cols[j]
@@ -216,9 +211,7 @@ def _gram_schmidt(x, tol_rank: float):
             t_du = t[:, 1]
             t_du += kdt[..., :r] @ c[:, 0]
             w = w - t[..., 0]
-        # the dual norm of v from the two dots _unit takes, one per group: the
-        # halves of w's rows hold v1, v2 (v3, v4) up to conjugation and sign,
-        # which leave the real parts of the products as they are
+        # the dual norm of v from the two dots _unit takes, one per group
         s = np.conj(w[:, :1])
         st = np.sqrt((s @ w[:, 0, :, None]).real[:, 0])
         keep = st[:, 0] > bounds[j]
@@ -231,9 +224,8 @@ def _gram_schmidt(x, tol_rank: float):
         np.negative(np.conj(v[1::2]), out=v[1::2])
         v = _scale_dual(v, 1.0 / st, -du / (st * st))
         # u = (v1, -conj(v2); v3, -conj(v4)) and -Hu = (v2, conj(v1); v4, conj(v3))
-        # as rows (group, part, u or -Hu, 2n): straight into the next two rows
-        # of kept while the groups keep alike, else into each keeping group's
-        # own next two rows through a buffer
+        # as rows (group, part, u or -Hu, 2n), into the next two rows of kept
+        # while the groups keep alike, else into each group's own through a buffer
         pair = kept[:, :, r : r + 2] if even else np.empty((len(st), 2, 2, m), np.complex128)
         halves = pair.reshape(-1, 2, 2, 2, n)
         halves[..., 0, :] = v.reshape(2, 2, -1, n).transpose(2, 0, 1, 3)
@@ -257,15 +249,13 @@ _CONJ = np.array([1.0, -1.0, -1.0, -1.0])[:, None]
 def _canonical_phase(x):
     """Right-scale each row of x, the (4, k, n) stack of the parts of k unit
     vectors, by the unit dual quaternion conj(e)/|e| of its entry e with the
-    largest standard-part modulus, which makes that entry a nonnegative dual
-    number. e is the first entry whose squared modulus is within a relative
-    PHASE_TIE of the largest, so entries that tie up to rounding do not make
-    the choice depend on it. Makes eigenvectors reproducible across runs;
-    the eigenpair property is unchanged because dual-number eigenvalues
-    commute with the scaling. conj(e)/|e| is formed on the real components
-    in the order of DualQuaternion.conj, magnitude and division."""
-    v1, v2 = x[0], x[1]
-    k = len(v1)
+    largest standard-part modulus, which makes e a nonnegative dual number
+    and the eigenvectors reproducible; dual-number eigenvalues commute with
+    it. e is the first entry whose squared modulus is within a relative
+    PHASE_TIE of the largest, so that ties up to rounding do not move it.
+    conj(e)/|e| is formed on the real components in the order of
+    DualQuaternion.conj, magnitude and division."""
+    v1, v2, k = x[0], x[1], x.shape[1]
     mags = v1.real**2 + v1.imag**2 + v2.real**2 + v2.imag**2
     top = mags.max(axis=-1, keepdims=True)
     rows, cols = np.arange(k), (mags >= top * (1.0 - PHASE_TIE)).argmax(axis=-1)
@@ -288,40 +278,48 @@ def _canonical_phase(x):
 def eddcam_ea(q: DualQuaternionMatrix) -> EigenResult:
     """All eigenpairs of a dual quaternion Hermitian matrix, directly.
 
-    Pipeline: adjoint -> dual complex eigendecomposition -> group the
-    adjoint eigenvector columns by equal dual-number eigenvalues, within
-    TOL_GROUP -> check F^-1 of every column -> orthogonalize on the adjoint
-    side, one Gram-Schmidt per group size batched over the groups of that
-    size. Each group of adjoint multiplicity t must yield exactly t/2
-    eigenvectors, or ClusterInstability.
-
-    A non-square Q raises NotHermitian with Q's shape. The Hermitian gate
-    runs once, on the adjoint in the decomposition: its entries are those of
-    Q's parts up to sign and conjugation, so it decides as a gate on Q would.
-    """
+    Pipeline: adjoint -> dual complex eigendecomposition -> groups: the
+    clusters, split where mu jumps by more than TOL_GROUP -> check every
+    column of U_hat -> one vector per group of 2, Gram-Schmidt on the others,
+    n in all or ClusterInstability. A non-square Q raises NotHermitian with
+    Q's shape; the Hermitian gate runs once, on the adjoint."""
     _check_square(q.shape)
-    dec = eig_dual_complex_hermitian(adjoint(q))
+    p = adjoint(q)
+    dec = eig_dual_complex_hermitian(p)
     n = q.rows
     if n == 0:
         return EigenResult((), 0.0)
     st, du, s, d = dec.lam, dec.mu, dec.u_st, dec.u_du
 
-    # consecutive grouping: sigma is sorted descending in the dual order
-    cut = np.zeros(len(st) - 1, dtype=bool)
-    for a in (st, du):
-        cut |= np.abs(a[1:] - a[:-1]) > TOL_GROUP * max(1.0, float(np.abs(a).max()))
-    starts, sizes = _runs(cut)
-    lam_st, lam_du = _run_means(st, starts, sizes), _run_means(du, starts, sizes)
+    # the clusters, whose columns share one value of st, split where mu jumps
+    jump = TOL_GROUP * max(1.0, float(np.abs(du).max()))
+    starts, sizes = _runs((st[1:] != st[:-1]) | (np.abs(du[1:] - du[:-1]) > jump))
+    lam_st, lam_du = st[starts], np.add.reduceat(du, starts) / sizes
 
-    # F^-1 of every column of U_hat at once, and every candidate checked
-    _check_eigenvectors(q, vec_map_f_inverse((s, d)), np.repeat(lam_st, sizes),
-                        np.repeat(lam_du, sizes))
+    # every column of U_hat checked on the adjoint side
+    big = _check_eigenvectors(p, (s, d), np.repeat(lam_st, sizes), np.repeat(lam_du, sizes))
 
-    # one Gram-Schmidt over the columns of all groups of each size, in batches
-    # of at most GS_ENTRIES column entries, and the vectors each group keeps
+    # a group of 2 keeps its first column, normalised, and its second b if b
+    # minus its projections onto the unit standard part w of the first and onto
+    # Hw passes the rank test; the temporaries go before F^-1 of all columns
+    pair = np.flatnonzero(sizes == 2)
+    a = starts[pair]
+    w, b = s[:, a], s[:, a + 1]
+    norm = np.sqrt(_sumsq(w, 0))
+    w /= norm
+    wc = w.conj()
+    hw = np.concatenate((wc[n:], -wc[:n]))
+    off = b - w * (wc * b).sum(0) - hw * (hw.conj() * b).sum(0)
     counts = np.empty(len(starts), dtype=int)
+    counts[pair] = (norm > TOL_RANK * big[a]) * 1 + (_sumsq(off, 0) > (TOL_RANK * big[a + 1]) ** 2)
+    norm_du = (wc * d[:, a]).real.sum(0) / norm**2
+    del w, b, wc, hw, off
+    vecs = _scale_dual(vec_map_f_inverse((s, d))[:, :, a], 1.0 / norm, -norm_du)
+
+    # Gram-Schmidt on every other size, in batches of at most GS_ENTRIES
+    # column entries
     picked = []
-    for k in np.unique(sizes):
+    for k in set(sizes[sizes != 2].tolist()):
         same = np.flatnonzero(sizes == k)
         step = max(1, GS_ENTRIES // (2 * n * k))
         for first in range(0, len(same), step):
@@ -331,21 +329,23 @@ def eddcam_ea(q: DualQuaternionMatrix) -> EigenResult:
                 (s[:, cols].transpose(1, 0, 2), d[:, cols].transpose(1, 0, 2)), TOL_RANK)
             mine = np.arange(k) < counts[at, None]
             picked.append((at, mine, rows[:, :, mine]))
-    if counts.sum() != n:
+    if counts.sum() != n or (counts[pair] != 1).any():
         raise ClusterInstability(f"recovered {counts.sum()} eigenvectors for dimension {n}; "
                                  "eigenvalue grouping is unstable at this tolerance")
 
-    # every returned vector as a row of one (4, n, n) array of parts
+    # the returned vectors as the rows of one (4, n, n) array; the columns go
     offsets = np.cumsum(counts) - counts
     x = np.empty((4, n, n), dtype=np.complex128)
+    x[:, offsets[pair]] = vecs.transpose(0, 2, 1)
     for at, mine, kept in picked:
         x.reshape(2, 2, n, n)[:, :, (offsets[at, None] + np.arange(mine.shape[1]))[mine]] = kept
+    del dec, s, d, vecs, picked
     x = _canonical_phase(x)
     x.setflags(write=False)
 
-    # e_lambda from one residual product over the returned vectors
+    # e_lambda from one residual product on the adjoint over the returned vectors
     lam = np.repeat(lam_st, counts), np.repeat(lam_du, counts)
-    res = _eig_residual(q._parts, x.transpose(0, 2, 1), *lam, axis=0)
+    res = _eig_residual(p, vec_map_f(x.transpose(0, 2, 1)), *lam, axis=0)
     vecs = [DualQuaternionVector._of(x[:, k]) for k in range(n)]
     pairs = tuple(
         (DualNumber(a, b), tuple(vecs[o : o + k]))

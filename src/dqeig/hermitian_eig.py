@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, NotHermitian
+from .matrices import _sumsq
 
 __all__ = ["ComplexHermitianEig", "eig_hermitian"]
 
@@ -23,12 +24,8 @@ class ComplexHermitianEig:
 
 def eig_hermitian(h) -> ComplexHermitianEig:
     """Full eigendecomposition of a complex Hermitian matrix, or of each
-    matrix in a (..., m, m) stack.
-
-    Each matrix must be Hermitian within 1e-10 * max(1, its largest entry),
-    otherwise NotHermitian, and its reconstruction residual must satisfy
-    |H - U diag(w) U*|_F <= TOL_RECON * max(1, |H|_F), otherwise NoConvergence.
-    """
+    matrix in a (..., m, m) stack, by _eigh: each must be Hermitian within
+    1e-10 * max(1, its largest entry), otherwise NotHermitian."""
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise NotHermitian(f"expected a square matrix, got shape {h.shape}")
@@ -36,6 +33,12 @@ def eig_hermitian(h) -> ComplexHermitianEig:
     asymmetry = np.abs(h - h.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
     if np.any(asymmetry > 1e-10 * scale):
         raise NotHermitian("matrix is not Hermitian within 1e-10")
+    return _eigh(h)
+
+
+def _eigh(h) -> ComplexHermitianEig:
+    """eig_hermitian of an h known to be Hermitian: NoConvergence unless
+    |H - U diag(w) U*|_F <= TOL_RECON * max(1, |H|_F)."""
     try:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -43,11 +46,10 @@ def eig_hermitian(h) -> ComplexHermitianEig:
     values = values[..., ::-1].copy()
     vectors = vectors[..., ::-1].copy()
     recon = (vectors * values[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
-    hnorm = np.linalg.norm(h, axis=(-2, -1))
-    if np.any(np.linalg.norm(h - recon, axis=(-2, -1)) > TOL_RECON * np.maximum(1.0, hnorm)):
+    if np.any(_sumsq(h - recon, (-2, -1)) > TOL_RECON**2 * np.maximum(1.0, _sumsq(h, (-2, -1)))):
         raise NoConvergence("reconstruction residual exceeds tolerance")
-    values.setflags(write=False)
-    vectors.setflags(write=False)
+    for a in (values, vectors):
+        a.setflags(write=False)
     return ComplexHermitianEig(values, vectors)
 
 
@@ -55,7 +57,7 @@ def _runs(cut):
     """(starts, sizes) of the runs of len(cut) + 1 values that split after
     every position i where cut[i] is true."""
     bounds = np.concatenate(([0], np.flatnonzero(cut) + 1, [len(cut) + 1]))
-    return bounds[:-1], np.diff(bounds)
+    return bounds[:-1], bounds[1:] - bounds[:-1]
 
 
 def _run_means(x, starts, sizes):
@@ -72,11 +74,8 @@ def _run_means(x, starts, sizes):
 
 
 def _clusters(values, tol_group: float):
-    """(means, sizes) of the clusters of a descending eigenvalue array.
-
-    Consecutive values within tol_group * max(1, max |values|) of each other
-    share a cluster; the cluster value is the mean of its members.
-    """
+    """(means, sizes) of the clusters of a descending eigenvalue array: runs
+    of values within tol_group * max(1, max |values|) of the next."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return np.empty(0), np.empty(0, dtype=int)

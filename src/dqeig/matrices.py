@@ -179,13 +179,18 @@ def _dual_norm(x):
     return 0.0, math.sqrt(np.vdot(d, d).real)
 
 
-def _is_hermitian(parts, tol) -> bool:
-    """Whether every entry of each square part differs from its flip by at
-    most tol in modulus, and no entry is NaN. Q = Q* reads A1 = A1^H,
-    A2 = -A2^T, A3 = A3^H and A4 = -A4^T on the parts (a1, a2, a3, a4); a
-    dual complex matrix is Hermitian when both its parts (st, du) are."""
+def _asymmetry(parts) -> list:
+    """The largest modulus of an entry of each square part minus its flip,
+    NaN where the part holds a NaN. Q = Q* reads A1 = A1^H, A2 = -A2^T,
+    A3 = A3^H and A4 = -A4^T on the parts (a1, a2, a3, a4); a dual complex
+    matrix is Hermitian when both its parts (st, du) are."""
     flips = (np.conj, np.negative) * 2 if len(parts) == 4 else (np.conj, np.conj)
-    return all(np.abs(a - f(a).T).max(initial=0.0) <= tol for a, f in zip(parts, flips))
+    return [float(np.abs(a - f(a).T).max(initial=0.0)) for a, f in zip(parts, flips)]
+
+
+def _is_hermitian(parts, tol) -> bool:
+    """Whether no part's _asymmetry exceeds tol, and no entry is NaN."""
+    return all(d <= tol for d in _asymmetry(parts))
 
 
 # stacks of up to this many entries are squared and summed in one pass,
@@ -226,11 +231,18 @@ def _unit(x):
 
 
 def _eig_residual(a, x, st, du, axis=None):
-    """|A x - x (st + du eps)| in the 2R norm of the stacks a and x; per
-    column with axis=0."""
-    r = _dq_mul(a, x)
-    r -= _scale_dual(x, st, du)
-    return _norm_2r(r, axis)
+    """|A x - x (st + du eps)| in the 2R norm of the stacks a and x of
+    dual quaternion parts, or of the pairs (st, du) a and x of dual complex
+    ones; per column with axis=0."""
+    if len(a) == 4:
+        r = _dq_mul(a, x)
+        r -= _scale_dual(x, st, du)
+        return _norm_2r(r, axis)
+    r = a[0] @ x[1]
+    r += a[1] @ x[0]
+    r -= x[1] * st
+    r -= x[0] * du
+    return _norm_2r((a[0] @ x[0] - x[0] * st, r), axis)
 
 
 def _part(k):

@@ -79,6 +79,14 @@ class TestDualComplexEigendecomposition:
         assert not dec.u_du.any()
         assert_decomposition_valid(p, dec, tol=1e-14)
 
+    def test_a_cluster_of_two_with_a_dual_block_off_mu_i_takes_eigh(self):
+        # P1 = 2 I is one cluster of 2, but P2 = diag(1, 5) on it is not mu I,
+        # as it would be on the span of u and Hu of an adjoint
+        p = dual_diag([(2, 1), (2, 5), (-1, 0)])
+        dec = eig_dual_complex_hermitian(p)
+        assert [(s.st, s.du) for s in dec.sigma] == [(2, 5), (2, 1), (-1, 0)]
+        assert_decomposition_valid(p, dec, tol=1e-14)
+
     def test_pentagon_adjoint_doubles_each_eigenvalue(self):
         dec = eig_dual_complex_hermitian(adjoint(pentagon_fixture()))
         assert len(dec.sigma) == 10
@@ -120,6 +128,24 @@ class TestDualComplexEigendecomposition:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), np.zeros((2, 2), dtype=complex)
         with pytest.raises(NotHermitian):
             eig_dual_complex_hermitian(bad)
+
+    @pytest.mark.parametrize("asymmetry,message", [
+        (1e-8, r"^matrix is not Hermitian within 1e-10$"),
+        (1e-5, r"^matrix is not Hermitian within 1e-10 of its largest entry$"),
+    ], ids=["p1-scale", "joint-scale"])
+    def test_p1_is_held_to_its_own_scale(self, asymmetry, message):
+        # 1e-8 in P1 passes 1e-10 times the largest entry of both parts, 1e4
+        # in P2, but not 1e-10 times P1's own, 1, as eig_hermitian holds P1;
+        # 1e-5 fails both, and the joint gate names its threshold
+        a1 = np.array([[1.0, asymmetry], [0.0, 1.0]])
+        a3 = np.diag([1e4, 0.0])
+        q = DualQuaternionMatrix(a1, np.zeros((2, 2)), a3)
+        with pytest.raises(NotHermitian, match=message):
+            eig_dual_complex_hermitian(adjoint(q))
+        with pytest.raises(NotHermitian, match=message):
+            eddcam_ea(q)
+        with pytest.raises(NotHermitian, match=message):
+            eig_dual_complex_hermitian((a1, a3))
 
     @pytest.mark.parametrize("du", [np.zeros((2, 3)), np.zeros((3, 3)), np.zeros((2, 2, 1))],
                              ids=["non-square", "other-size", "3-d"])

@@ -4,19 +4,20 @@ tests/reference_dual_eig.py keeps eig_dual_complex_hermitian with one eigh
 per cluster block and T built cluster pair by cluster pair, and eddcam_ea
 with one F^-1 per column, the object Gram-Schmidt and object residuals.
 
-The stacked version runs the same arithmetic up to Gram-Schmidt, so sigma,
-U_hat, the eigenvalues and the group sizes must be bit-identical, and so must
-the eigenvectors of groups of adjoint multiplicity 2, whose one kept vector
-is their first column normalised with no projection. Gram-Schmidt runs on the
-adjoint side, in dual complex arithmetic with one stacked product per
-candidate, batched over all groups of one size, which sums in another order
-than the reference: in larger groups the eigenvectors must span the
-reference eigenspace and be orthonormal to 1e-13, against the object
-Gram-Schmidt and against the 4-part array kernel the reference keeps, whose
-first kept vector they reproduce bit for bit. A batch gives every group bit
-for bit what the group gives alone. e_lambda is one stacked residual product
-and must agree to 1e-15 * max(1, |Q|_F).
+The stacked version takes V = I and a Rayleigh-quotient mu for every cluster
+of 2, returns the first column of each group of 2 normalised, and runs
+Gram-Schmidt on the adjoint side, batched over all other groups of one size,
+so it picks other vectors than the reference in the last bits, or by a unit
+quaternion phase. So it must give the reference's group sizes, its sigma and
+eigenvalues to 1e-14 * max(1, |Q|_F), and each group's eigenspace projector,
+standard and dual part, to 1e-14 * max(1, |Q|_F); its groups must be
+orthonormal to 1e-13, and e_lambda must agree to 1e-15 * max(1, |Q|_F).
+The adjoint-side Gram-Schmidt spans the eigenspace of the 4-part array
+kernel the reference keeps, whose first kept vector it reproduces bit for
+bit, and a batch gives every group bit for bit what the group gives alone.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,11 +26,11 @@ from dqeig import dual_eig
 from dqeig.adjoint import adjoint, vec_map_f, vec_map_f_inverse
 from dqeig.bench import build_laplacian, pentagon_fixture, random_graph, synth_known_spectrum
 from dqeig.errors import DQEigError, NotAnEigenvector
-from dqeig.matrices import DualQuaternionVector, _dq_mul, _unit
+from dqeig.matrices import DualQuaternionMatrix, DualQuaternionVector, _dq_mul, _unit
 from dqeig.scalars import DualNumber, DualQuaternion, Quaternion
 from tests import reference_dual_eig as ref
 from tests.dq import basis, scale_right
-from tests.test_dual_eig import orthogonalize
+from tests.test_dual_eig import graph_laplacian, orthogonalize
 
 SPARSITIES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 
@@ -64,10 +65,6 @@ def bits(v):
     return b"".join(a.tobytes() for a in (v.v1, v.v2, v.v3, v.v4))
 
 
-def lam_bits(lam):
-    return np.array([lam.st, lam.du]).tobytes()
-
-
 def stacked(vecs):
     return tuple(np.stack(part, axis=1) for part in zip(*(v._parts for v in vecs)))
 
@@ -80,36 +77,57 @@ def max_abs(parts):
     return max(float(np.abs(a).max()) for a in parts)
 
 
+def projector(vecs):
+    v = stacked(vecs)
+    return _dq_mul(v, conj_t(v))
+
+
 @pytest.mark.parametrize("name,q", PROBLEMS, ids=[name for name, _ in PROBLEMS])
-def test_eddcam_is_bit_identical_to_the_object_gram_schmidt(name, q):
-    """Everything before Gram-Schmidt, and every group it leaves untouched."""
+def test_eddcam_matches_the_reference_eigenspaces(name, q):
+    tol = 1e-14 * max(1.0, q.norm_fr())
     got_dec = dual_eig.eig_dual_complex_hermitian(adjoint(q))
     want_dec = ref.eig_dual_complex_hermitian(adjoint(q))
-    assert [lam_bits(s) for s in got_dec.sigma] == [lam_bits(s) for s in want_dec.sigma]
-    for part in ("u_st", "u_du"):
-        assert getattr(got_dec, part).tobytes() == getattr(want_dec, part).tobytes()
+    for part in ("lam", "mu"):
+        assert np.abs(getattr(got_dec, part) - getattr(want_dec, part)).max() <= tol
 
     got, want = dual_eig.eddcam_ea(q), ref.eddcam_ea(q)
-    assert [lam_bits(lam) for lam, _ in got.pairs] == [lam_bits(lam) for lam, _ in want.pairs]
     assert [len(vecs) for _, vecs in got.pairs] == [len(vecs) for _, vecs in want.pairs]
-    for (_, vecs), (_, ref_vecs) in zip(got.pairs, want.pairs):
-        if len(vecs) == 1:
-            assert bits(vecs[0]) == bits(ref_vecs[0])
-
-
-@pytest.mark.parametrize("name,q", PROBLEMS, ids=[name for name, _ in PROBLEMS])
-def test_larger_groups_span_the_reference_eigenspaces(name, q):
-    got, want = dual_eig.eddcam_ea(q), ref.eddcam_ea(q)
-    for (_, vecs), (_, ref_vecs) in zip(got.pairs, want.pairs):
-        if len(vecs) > 1:
-            v, w = stacked(vecs), stacked(ref_vecs)
-            projector = _dq_mul(v, conj_t(v))
-            ref_projector = _dq_mul(w, conj_t(w))
-            assert max_abs([a - b for a, b in zip(projector, ref_projector)]) <= 1e-13
-            gram = _dq_mul(conj_t(v), v)
-            eye = np.eye(len(vecs))
-            assert max_abs([gram[0] - eye, *gram[1:]]) <= 1e-13
+    for (lam, vecs), (ref_lam, ref_vecs) in zip(got.pairs, want.pairs):
+        assert max(abs(lam.st - ref_lam.st), abs(lam.du - ref_lam.du)) <= tol
+        assert max_abs([a - b for a, b in zip(projector(vecs), projector(ref_vecs))]) <= tol
+        v = stacked(vecs)
+        gram = _dq_mul(conj_t(v), v)
+        assert max_abs([gram[0] - np.eye(len(vecs)), *gram[1:]]) <= 1e-13
     assert abs(got.residual - want.residual) <= 1e-15 * max(1.0, q.norm_fr())
+
+
+# the formation graphs of perfbench at seed 7, and the n = 60 graphs of PROBLEMS
+ORACLE_GRAPHS = [(f"formation-{s}#{g}", random_graph(10, s, [7, int(1000 * s), g]))
+                 for s in SPARSITIES for g in range(3)]
+ORACLE_GRAPHS += [(f"n60-{s}", random_graph(60, s, [7, int(1000 * s), 0])) for s in (0.02, 0.05)]
+
+
+@pytest.mark.parametrize("name,graph", ORACLE_GRAPHS, ids=[name for name, _ in ORACLE_GRAPHS])
+def test_eddcam_eigenspaces_are_the_closed_form_of_the_laplacian(name, graph):
+    # build_laplacian is the congruence D* L0 D of the real graph Laplacian L0
+    # by D = diag(poses), unit dual quaternions, so an eigenvalue of L0 whose
+    # eigenvectors are the orthonormal columns of W has the projector D* W W^T D
+    q = build_laplacian(graph)
+    values, w = np.linalg.eigh(graph_laplacian(graph))
+    values, w = values[::-1], w[:, ::-1]
+    cut = np.flatnonzero(values[:-1] - values[1:] > 1e-9 * max(1.0, values[0])) + 1
+    spaces = np.split(np.arange(graph.n), cut)
+    poses = np.array([[p.st.w + 1j * p.st.x, p.st.y + 1j * p.st.z,
+                       p.du.w + 1j * p.du.x, p.du.y + 1j * p.du.z] for p in graph.poses])
+    d = np.stack([np.diag(a) for a in poses.T])
+    got = dual_eig.eddcam_ea(q)
+    assert [len(vecs) for _, vecs in got.pairs] == [len(k) for k in spaces]
+    for (_, vecs), k in zip(got.pairs, spaces):
+        ww = np.zeros_like(d)
+        ww[0] = w[:, k] @ w[:, k].T
+        want = _dq_mul(_dq_mul(conj_t(d), ww), d)
+        assert max_abs([a - b for a, b in zip(projector(vecs), want)]) <= 1e-14 * max(
+            1.0, q.norm_fr())
 
 
 def test_problems_include_disconnected_graphs():
@@ -123,7 +141,7 @@ def test_problems_include_disconnected_graphs():
 
 
 def test_problems_include_connected_and_paired_spectra_at_n150():
-    # every group has adjoint multiplicity 2, so every vector is compared bit for bit
+    # every group has adjoint multiplicity 2, so every vector is a group's first column
     for name in ("laplacian-n150-0.1", "planted-pairs-150"):
         q = dict(PROBLEMS)[name]
         assert {len(vecs) for _, vecs in dual_eig.eddcam_ea(q).pairs} == {1}
@@ -316,6 +334,48 @@ def test_a_split_double_eigenvalue_fails_as_in_the_reference(monkeypatch):
     want = outcome(ref.eddcam_ea, q, tol_group=1e-15)
     monkeypatch.setattr(dual_eig, "TOL_GROUP", 1e-15)
     assert outcome(dual_eig.eddcam_ea, q) == want
+
+
+def diagonal_decomposition(order, split):
+    """eig_dual_complex_hermitian of Q = diag(3 + eps, 3 + eps, 1) with the
+    columns F(e0), F(e1), F(e0 j), F(e1 j) of its double eigenvalue in the
+    given order and the dual parts of the last two raised by split."""
+    n = 3
+    cols = [np.eye(2 * n)[:, i] * sign for i, sign in ((0, 1), (1, 1), (3, -1), (4, -1))]
+    u_st = np.stack([cols[i] for i in order] + [np.eye(2 * n)[:, 2], -np.eye(2 * n)[:, 5]], axis=1)
+    lam = np.array([3.0] * 4 + [1.0] * 2)
+    mu = np.array([1.0, 1.0, 1.0 + split, 1.0 + split, 0.0, 0.0])
+    return dual_eig.DualEigenDecomposition(lam, mu, u_st.astype(complex), np.zeros((2 * n, 2 * n),
+                                                                                 complex))
+
+
+@pytest.mark.parametrize("order,want", [((0, 2, 1, 3), 3), ((0, 1, 2, 3), "ClusterInstability")],
+                         ids=["partners", "not-partners"])
+def test_a_pair_off_the_line_of_its_first_column_raises(order, want, monkeypatch):
+    # splitting the double eigenvalue into two groups of 2 by 2e-8 in mu: a
+    # pair (F(e0), F(e0 j)) spans one quaternion line and returns one vector,
+    # a pair (F(e0), F(e1)) has its second column off that line, so its group
+    # of 2 holds two vectors, and the solve ends in ClusterInstability
+    q = DualQuaternionMatrix(np.diag([3.0, 3.0, 1.0]), np.zeros((3, 3)), np.diag([1.0, 1.0, 0.0]))
+    monkeypatch.setattr(dual_eig, "eig_dual_complex_hermitian",
+                        lambda p: diagonal_decomposition(order, 2e-8))
+    assert outcome(dual_eig.eddcam_ea, q) == want
+
+
+@pytest.mark.parametrize("s", [0.005, 0.02, 0.1])
+def test_eddcam_traced_peak_stays_within_eleven_adjoint_arrays(s):
+    # the traced allocation peak of one solve at n = 200, in 2n x 2n complex
+    # arrays: 9.1 to 9.5 with Gram-Schmidt on every group and 7.5 to 9.0
+    # without; holding the candidates, the pair temporaries and the
+    # decomposition to the end of the solve reads 12.1 to 12.9
+    q = build_laplacian(random_graph(200, s, [7, round(1e5 * s)]))
+    tracemalloc.start()
+    try:
+        dual_eig.eddcam_ea(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * (2 * q.rows) ** 2 * 16
 
 
 def test_a_non_eigenvector_raises_alike():
