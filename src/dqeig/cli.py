@@ -56,9 +56,11 @@ def load_matrix(path: str) -> DualQuaternionMatrix:
         raise ParseError(f"malformed matrix document: {exc}") from exc
     if type(n) is not int:
         raise ParseError(f"'n' must be an integer, got {n!r}")
+    if n < 1:
+        raise ParseError(f"'n' must be a positive integer, got {n!r}")
     if not isinstance(entries, list):
         raise ParseError("'entries' must be a list")
-    if n < 1 or len(entries) != n * n:
+    if len(entries) != n * n:
         raise ParseError(f"expected {n * n} entries, found {len(entries)}")
     for k, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != 8:

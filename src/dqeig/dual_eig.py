@@ -14,11 +14,11 @@ dual numbers lam_i + mu_ij*eps.
 
 EDDCAM-EA applies this to the adjoint of a dual quaternion Hermitian matrix,
 where every eigenvalue shows up doubled. A column u = F(v) and Hu = F(v j)
-span the image under F of the quaternion line of v, on which U* P2 U is
-mu I: a cluster of 2 takes V = I and mu = Re(u* P2 u), and a group of 2
-returns its first column once a rank test finds its second on that span.
-Gram-Schmidt, keeping u and Hu of each vector it keeps, picks the t/2
-eigenvectors of every larger group of t columns, batched per group size.
+span the image under F of the quaternion line of v, on which U* P2 U is mu I:
+a cluster of 2 takes V = I and mu = Re(u* P2 u), and a group of 2 returns its
+first column once a rank test finds its second on that span. Gram-Schmidt,
+keeping u and Hu of each vector it keeps, picks the t/2 eigenvectors of every
+larger group of t columns. One residual of the returned vectors checks them.
 """
 
 from dataclasses import dataclass
@@ -40,8 +40,7 @@ __all__ = ["DualEigenDecomposition", "EigenResult", "eig_dual_complex_hermitian"
 # of Gram-Schmidt, relative to max(1, the largest magnitude involved)
 TOL_GROUP = 1e-8
 TOL_RANK = 1e-8
-# the most column entries one batched Gram-Schmidt takes, which bounds its
-# temporaries to a few MB at n = 200
+# the most column entries per batched Gram-Schmidt: its temporaries stay a few MB at n = 200
 GS_ENTRIES = 1 << 15
 
 
@@ -71,8 +70,7 @@ class EigenResult:
     residual is e_lambda: the mean 2R-norm residual of Q w = w lam over all
     reported eigenvectors. iterations counts inner power iterations for the
     iterative solvers and is 0 for the direct one. converged is False when a
-    power loop hit its iteration cap; pairs then holds what was found.
-    """
+    power loop hit its iteration cap; pairs then holds what was found."""
 
     pairs: tuple
     residual: float
@@ -87,57 +85,53 @@ class EigenResult:
         return [v for _, vecs in self.pairs for v in vecs]
 
 
-def _check_square(shape) -> None:
-    if shape[0] != shape[1]:
-        raise NotHermitian(f"matrix is not square: {shape}")
-
-
 def _check_hermitian(parts):
     """NotHermitian unless the matrix with parts (a1, a2, a3, a4) of a dual
     quaternion Q, or (st, du) of Q's adjoint, which has Q's differences up to
     sign and conjugation, is square and no part's _asymmetry passes 1e-10 *
     max(1, its largest entry). Returns the asymmetries and largest entries."""
-    _check_square(parts[0].shape)
-    big, asym = [float(np.abs(a).max(initial=0.0)) for a in parts], _asymmetry(parts)
+    if parts[0].shape[0] != parts[0].shape[1]:
+        raise NotHermitian(f"matrix is not square: {parts[0].shape}")
+    big, asym = np.abs(parts).max(axis=(1, 2), initial=0.0).tolist(), _asymmetry(parts)
     if not all(d <= 1e-10 * max(1.0, *big) for d in asym):
         raise NotHermitian("matrix is not Hermitian within 1e-10 of its largest entry")
     return asym, big
 
 
-def eig_dual_complex_hermitian(p) -> DualEigenDecomposition:
-    """Eigendecomposition of the dual complex Hermitian matrix p, the pair
-    (st, du) of its parts: 2-d arrays of one shape, or DimensionMismatch.
-    Past _check_hermitian, st must be Hermitian within 1e-10 * max(1, its own
-    largest entry), as eig_hermitian holds it. Eigenvalues of P1 within
-    TOL_GROUP * max(1, max |lam|) share a cluster, and clusters closer than
-    ten times that raise ClusterInstability. A cluster of 2 takes V = I and
-    mu = Re(u* P2 u) of its first column u when |block - mu I|_F <= TOL_RECON *
-    max(1, |block|_F), eigh's reconstruction bound; other blocks take eigh."""
-    st, du = (_carr(a, 2) for a in p)
-    if st.shape != du.shape:
-        raise DimensionMismatch(f"parts of shapes {st.shape} and {du.shape}")
-    asym, big = _check_hermitian((st, du))
-    if asym[0] > 1e-10 * max(1.0, big[0]):
+def _check_decomposable(parts) -> None:
+    """_check_hermitian, and NotHermitian unless the standard half of the parts
+    is Hermitian within 1e-10 * max(1, its own largest entry), as eig_hermitian."""
+    (asym, big), h = _check_hermitian(parts), len(parts) // 2
+    if max(asym[:h]) > 1e-10 * max(1.0, *big[:h]):
         raise NotHermitian("matrix is not Hermitian within 1e-10")
+
+
+def _frame(st, du):
+    """(lam, mu, w) of the gated dual complex Hermitian (st, du), m x m, with w
+    the (m, 2m) stack X* [I | P2] of X = U V. Eigenvalues of P1 within TOL_GROUP
+    * max(1, max |lam|) share a cluster; clusters closer than ten times that
+    raise ClusterInstability. A cluster of 2 takes V = I and mu = Re(u* P2 u) of
+    its first column u when its block of (U* P2) U is mu I within eigh's bound
+    TOL_RECON * max(1, |block|_F); those of each other size take one batched
+    eigh made exactly Hermitian, and V* goes onto their rows of w at once."""
     base = _eigh(st)
     values, counts = _clusters(base.values, TOL_GROUP)
-    scale = max(1.0, abs(values[0]), abs(values[-1])) if values.size else 1.0
     gaps = values[:-1] - values[1:]
-    narrow = np.flatnonzero(gaps < 10.0 * TOL_GROUP * scale)
-    if narrow.size:
-        raise ClusterInstability(f"cluster gap {gaps[narrow[0]]:.3e} below 10*tol_group; "
+    if (narrow := gaps[gaps < 10.0 * TOL_GROUP * np.abs(values).max(initial=1.0)]).size:
+        raise ClusterInstability(f"cluster gap {narrow[0]:.3e} below 10*tol_group; "
                                  "dual coupling entries would blow up")
 
-    u = base.vectors
-    p2 = u.conj().T @ du @ u
-
-    # the blocks of one size, made exactly Hermitian, in one batched eigh
+    m = len(st)
+    w = np.empty((m, 2 * m), dtype=np.complex128)
+    np.conj(base.vectors.T, out=w[:, :m])
+    del base
+    np.matmul(w[:, :m], du, out=w[:, m:])
     starts = np.cumsum(counts) - counts
-    mu = p2.diagonal().real.copy()
-    v = None
+    mu = np.empty(m)
     for size in set(counts.tolist()):
         idx = starts[counts == size, None] + np.arange(size)
-        blocks = p2[idx[:, :, None], idx[:, None, :]]
+        blocks = w[idx, m:] @ np.conj(w[idx, :m]).swapaxes(1, 2)
+        mu[idx] = blocks.diagonal(0, 1, 2).real
         if size == 2:
             dev = _sumsq(blocks - mu[idx[:, :1, None]] * np.eye(2), (1, 2))
             scalar = dev <= TOL_RECON**2 * np.maximum(1.0, _sumsq(blocks, (1, 2)))
@@ -145,46 +139,57 @@ def eig_dual_complex_hermitian(p) -> DualEigenDecomposition:
             idx, blocks = idx[~scalar], blocks[~scalar]
         if len(idx):
             sub = _eigh(0.5 * (blocks + blocks.conj().swapaxes(-1, -2)))
-            v = np.eye(len(u), dtype=np.complex128) if v is None else v
-            v[idx[:, :, None], idx[:, None, :]] = sub.vectors
+            w[idx] = sub.vectors.conj().swapaxes(1, 2) @ w[idx]
             mu[idx] = sub.values
-
-    # T_ij = Q_ij / (lam_j - lam_i) between distinct clusters, 0 within one
-    lam = np.repeat(values, counts)
-    q, u_st = (p2, u) if v is None else (v.conj().T @ p2 @ v, u @ v)
-    t = np.zeros_like(q)
-    np.divide(q, lam - lam[:, None], out=t, where=lam != lam[:, None])
-    return DualEigenDecomposition(lam, mu, u_st, u_st @ t)
+    return np.repeat(values, counts), mu, w
 
 
-def _check_eigenvectors(q, x, st, du):
-    """NotAnEigenvector unless every column of x, n x k parts with q the
-    DualQuaternionMatrix Q or 2n x k columns (st, du) with q Q's adjoint, of
-    2R norm sqrt(2) |Q|_F, satisfies Q x = x (st[j] + du[j] eps) to residual
-    1e-8 * max(1, |Q|_F) * max(1, |x|_2R). Returns max(1, |x|_2R) per column."""
-    a = q._parts if isinstance(q, DualQuaternionMatrix) else q
-    res = _eig_residual(a, x, st, du, axis=0)
-    scale = q.norm_fr() if len(a) == 4 else np.sqrt(sum(np.vdot(b, b).real for b in a) / 2)
-    big = np.maximum(1.0, _norm_2r(x, axis=0))
-    bad = np.flatnonzero(res > 1e-8 * max(1.0, scale) * big)
+def _dual_part(lam, w, cols):
+    """The columns cols of U_hat's dual part X T for _frame's lam and w:
+    T_ij = Q_ij / (lam_j - lam_i) between distinct clusters, 0 within one,
+    and Q[:, cols] = (X* P2) X[:, cols]."""
+    m = len(lam)
+    q = w[:, m:] @ w[cols, :m].conj().T
+    gap = lam[cols] - lam[:, None]
+    return w[:, :m].conj().T @ np.divide(q, gap, out=np.zeros_like(q), where=gap != 0.0)
+
+
+def eig_dual_complex_hermitian(p) -> DualEigenDecomposition:
+    """Eigendecomposition of the dual complex Hermitian matrix p, the pair
+    (st, du) of its parts: 2-d arrays of one shape, or DimensionMismatch.
+    _check_decomposable gates it, then _frame and _dual_part of every column."""
+    st, du = (_carr(a, 2) for a in p)
+    if st.shape != du.shape:
+        raise DimensionMismatch(f"parts of shapes {st.shape} and {du.shape}")
+    _check_decomposable(np.stack((st, du)))
+    lam, mu, w = _frame(st, du)
+    return DualEigenDecomposition(lam, mu, w[:, : len(st)].conj().T, _dual_part(lam, w, ...))
+
+
+def _check_eigenvectors(p, x, st, du):
+    """NotAnEigenvector unless every column of x, 2n x k columns (st, du) on
+    the adjoint p of Q, of 2R norm sqrt(2) |Q|_F, satisfies P x = x (st[j] +
+    du[j] eps) to residual 1e-8 * max(1, |Q|_F) * max(1, |x|_2R), which is
+    |Q v - v lam|_2R for x = F(v). Returns the residuals."""
+    res = _eig_residual(p, x, st, du, axis=0)
+    scale = np.sqrt(sum(np.vdot(b, b).real for b in p) / 2)
+    bad = np.flatnonzero(res > 1e-8 * max(1.0, scale) * np.maximum(1.0, _norm_2r(x, axis=0)))
     if bad.size:
-        k = bad[0]
-        lam = DualNumber(float(st[k]), float(du[k]))
-        raise NotAnEigenvector(f"candidate residual {res[k]:.3e} too large for {lam}")
-    return big
+        lam = DualNumber(float(st[bad[0]]), float(du[bad[0]]))
+        raise NotAnEigenvector(f"eigenvector residual {res[bad[0]]:.3e} too large for {lam}")
+    return res
 
 
 def _gram_schmidt(x, tol_rank: float):
-    """Classical Gram-Schmidt in dual complex arithmetic over the columns
-    F(v) of x, a (st, du) tuple of (g, 2n, k) arrays, at once for the g groups
-    of k columns x[0][i], x[1][i]. Each column minus its projections onto the
-    rows its group has kept (as many as the fullest group; unfilled ones are
-    zero) is kept unless the standard part of that remainder w has norm at
-    most tol_rank * max(1, |column|_2R); v = F^-1(w), normalised as _unit
-    would, is kept as the rows u = F(v) and -Hu, which span its line.
-    Returns (rows, counts): group i keeps rows[:, :, i, :counts[i]] of a
-    (2, 2, g, k, n) view whose first two axes index the parts (v1, v2; v3, v4).
-    """
+    """Classical Gram-Schmidt in dual complex arithmetic over the columns F(v)
+    of x, a (st, du) tuple of (g, 2n, k) arrays, at once for the g groups of k
+    columns x[0][i], x[1][i]. Each column minus its projections onto the rows
+    its group has kept (as many as the fullest group; unfilled ones are zero)
+    is kept unless the standard part of that remainder w has norm at most
+    tol_rank * max(1, |column|_2R); v = F^-1(w), normalised as _unit would, is
+    kept as the rows u = F(v) and -Hu, which span its line. Returns (rows,
+    counts): group i keeps rows[:, :, i, :counts[i]] of a (2, 2, g, k, n) view
+    whose first two axes index the parts (v1, v2; v3, v4)."""
     g, m, k = x[0].shape
     n = m // 2
     # column j of every group as one (2, 2n) row, whose halves hold v1, v2, v3,
@@ -248,13 +253,12 @@ _CONJ = np.array([1.0, -1.0, -1.0, -1.0])[:, None]
 
 def _canonical_phase(x):
     """Right-scale each row of x, the (4, k, n) stack of the parts of k unit
-    vectors, by the unit dual quaternion conj(e)/|e| of its entry e with the
-    largest standard-part modulus, which makes e a nonnegative dual number
-    and the eigenvectors reproducible; dual-number eigenvalues commute with
-    it. e is the first entry whose squared modulus is within a relative
-    PHASE_TIE of the largest, so that ties up to rounding do not move it.
-    conj(e)/|e| is formed on the real components in the order of
-    DualQuaternion.conj, magnitude and division."""
+    vectors, by the unit dual quaternion conj(e)/|e|, formed on the real
+    components as DualQuaternion.conj, magnitude and division do: e becomes a
+    nonnegative dual number, which the dual-number eigenvalues commute with,
+    and the vectors reproducible. e is the first entry whose squared standard
+    modulus is within a relative PHASE_TIE of the row's largest, so that ties
+    up to rounding do not move it."""
     v1, v2, k = x[0], x[1], x.shape[1]
     mags = v1.real**2 + v1.imag**2 + v2.real**2 + v2.imag**2
     top = mags.max(axis=-1, keepdims=True)
@@ -278,57 +282,56 @@ def _canonical_phase(x):
 def eddcam_ea(q: DualQuaternionMatrix) -> EigenResult:
     """All eigenpairs of a dual quaternion Hermitian matrix, directly.
 
-    Pipeline: adjoint -> dual complex eigendecomposition -> groups: the
-    clusters, split where mu jumps by more than TOL_GROUP -> check every
-    column of U_hat -> one vector per group of 2, Gram-Schmidt on the others,
-    n in all or ClusterInstability. A non-square Q raises NotHermitian with
-    Q's shape; the Hermitian gate runs once, on the adjoint."""
-    _check_square(q.shape)
-    p = adjoint(q)
-    dec = eig_dual_complex_hermitian(p)
-    n = q.rows
-    if n == 0:
+    Pipeline: the Hermitian gate on Q's parts -> adjoint -> _frame -> groups:
+    the clusters, split where mu jumps by more than TOL_GROUP -> U_hat's dual
+    part of the kept columns, the first of each group of 2 and every column
+    of the others -> one vector per group of 2, Gram-Schmidt on the others, n
+    in all or ClusterInstability -> _check_eigenvectors of those n vectors."""
+    _check_decomposable(q._parts)
+    if (n := q.rows) == 0:
         return EigenResult((), 0.0)
-    st, du, s, d = dec.lam, dec.mu, dec.u_st, dec.u_du
+    p = adjoint(q)
+    st, du, w = _frame(*p)
 
     # the clusters, whose columns share one value of st, split where mu jumps
     jump = TOL_GROUP * max(1.0, float(np.abs(du).max()))
     starts, sizes = _runs((st[1:] != st[:-1]) | (np.abs(du[1:] - du[:-1]) > jump))
     lam_st, lam_du = st[starts], np.add.reduceat(du, starts) / sizes
-
-    # every column of U_hat checked on the adjoint side
-    big = _check_eigenvectors(p, (s, d), np.repeat(lam_st, sizes), np.repeat(lam_du, sizes))
-
-    # a group of 2 keeps its first column, normalised, and its second b if b
-    # minus its projections onto the unit standard part w of the first and onto
-    # Hw passes the rank test; the temporaries go before F^-1 of all columns
     pair = np.flatnonzero(sizes == 2)
     a = starts[pair]
-    w, b = s[:, a], s[:, a + 1]
-    norm = np.sqrt(_sumsq(w, 0))
-    w /= norm
-    wc = w.conj()
-    hw = np.concatenate((wc[n:], -wc[:n]))
-    off = b - w * (wc * b).sum(0) - hw * (hw.conj() * b).sum(0)
-    counts = np.empty(len(starts), dtype=int)
-    counts[pair] = (norm > TOL_RANK * big[a]) * 1 + (_sumsq(off, 0) > (TOL_RANK * big[a + 1]) ** 2)
-    norm_du = (wc * d[:, a]).real.sum(0) / norm**2
-    del w, b, wc, hw, off
-    vecs = _scale_dual(vec_map_f_inverse((s, d))[:, :, a], 1.0 / norm, -norm_du)
+    kept = np.ones(2 * n, dtype=bool)
+    kept[a + 1] = False
+    # column j of U_hat has its dual part in column at[j] of d
+    d, s, at = _dual_part(st, w, np.flatnonzero(kept)), w[:, : 2 * n].conj().T, np.cumsum(kept) - 1
+    del w
 
-    # Gram-Schmidt on every other size, in batches of at most GS_ENTRIES
-    # column entries
+    # a group of 2 keeps its first column, normalised, and its second b if b
+    # minus its projections onto the unit standard part u of the first and onto
+    # Hu passes the rank test, at max(1, |column|_2R) of the parts formed
+    u, b, u_du = s[:, a], s[:, a + 1], d[:, at[a]]
+    norm = np.sqrt(_sumsq(u, 0))
+    counts = np.empty(len(starts), dtype=int)
+    counts[pair] = norm > TOL_RANK * np.maximum(1.0, _norm_2r((u, u_du), axis=0))
+    u /= norm
+    uc = u.conj()
+    hu = np.concatenate((uc[n:], -uc[:n]))
+    off = b - u * (uc * b).sum(0) - hu * (hu.conj() * b).sum(0)
+    counts[pair] += _sumsq(off, 0) > (TOL_RANK * np.maximum(1.0, np.sqrt(_sumsq(b, 0)))) ** 2
+    norm_du = (uc * u_du).real.sum(0) / norm**2
+    del u, b, uc, hu, off
+    vecs = _scale_dual(vec_map_f_inverse((s[:, a], u_du)), 1.0 / norm, -norm_du)
+
+    # Gram-Schmidt on every other size, in batches of at most GS_ENTRIES entries
     picked = []
     for k in set(sizes[sizes != 2].tolist()):
         same = np.flatnonzero(sizes == k)
         step = max(1, GS_ENTRIES // (2 * n * k))
-        for first in range(0, len(same), step):
-            at = same[first : first + step]
-            cols = starts[at, None] + np.arange(k)
-            rows, counts[at] = _gram_schmidt(
-                (s[:, cols].transpose(1, 0, 2), d[:, cols].transpose(1, 0, 2)), TOL_RANK)
-            mine = np.arange(k) < counts[at, None]
-            picked.append((at, mine, rows[:, :, mine]))
+        for these in np.split(same, range(step, len(same), step)):
+            cols = starts[these, None] + np.arange(k)
+            rows, counts[these] = _gram_schmidt(
+                (s[:, cols].transpose(1, 0, 2), d[:, at[cols]].transpose(1, 0, 2)), TOL_RANK)
+            mine = np.arange(k) < counts[these, None]
+            picked.append((these, mine, rows[:, :, mine]))
     if counts.sum() != n or (counts[pair] != 1).any():
         raise ClusterInstability(f"recovered {counts.sum()} eigenvectors for dimension {n}; "
                                  "eigenvalue grouping is unstable at this tolerance")
@@ -337,15 +340,14 @@ def eddcam_ea(q: DualQuaternionMatrix) -> EigenResult:
     offsets = np.cumsum(counts) - counts
     x = np.empty((4, n, n), dtype=np.complex128)
     x[:, offsets[pair]] = vecs.transpose(0, 2, 1)
-    for at, mine, kept in picked:
-        x.reshape(2, 2, n, n)[:, :, (offsets[at, None] + np.arange(mine.shape[1]))[mine]] = kept
-    del dec, s, d, vecs, picked
+    for these, mine, rows in picked:
+        x.reshape(2, 2, n, n)[:, :, (offsets[these, None] + np.arange(mine.shape[1]))[mine]] = rows
+    del s, d, u_du, vecs, picked
     x = _canonical_phase(x)
     x.setflags(write=False)
 
-    # e_lambda from one residual product on the adjoint over the returned vectors
     lam = np.repeat(lam_st, counts), np.repeat(lam_du, counts)
-    res = _eig_residual(p, vec_map_f(x.transpose(0, 2, 1)), *lam, axis=0)
+    res = _check_eigenvectors(p, vec_map_f(x.transpose(0, 2, 1)), *lam)
     vecs = [DualQuaternionVector._of(x[:, k]) for k in range(n)]
     pairs = tuple(
         (DualNumber(a, b), tuple(vecs[o : o + k]))

@@ -29,9 +29,8 @@ def eig_hermitian(h) -> ComplexHermitianEig:
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise NotHermitian(f"expected a square matrix, got shape {h.shape}")
-    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1), initial=0.0))
     asymmetry = np.abs(h - h.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-    if np.any(asymmetry > 1e-10 * scale):
+    if np.any(asymmetry > 1e-10 * np.abs(h).max(axis=(-2, -1), initial=1.0)):
         raise NotHermitian("matrix is not Hermitian within 1e-10")
     return _eigh(h)
 
@@ -43,8 +42,7 @@ def _eigh(h) -> ComplexHermitianEig:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    values = values[..., ::-1].copy()
-    vectors = vectors[..., ::-1].copy()
+    values, vectors = values[..., ::-1].copy(), vectors[..., ::-1].copy()
     recon = (vectors * values[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
     if np.any(_sumsq(h - recon, (-2, -1)) > TOL_RECON**2 * np.maximum(1.0, _sumsq(h, (-2, -1)))):
         raise NoConvergence("reconstruction residual exceeds tolerance")

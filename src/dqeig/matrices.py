@@ -183,9 +183,13 @@ def _asymmetry(parts) -> list:
     """The largest modulus of an entry of each square part minus its flip,
     NaN where the part holds a NaN. Q = Q* reads A1 = A1^H, A2 = -A2^T,
     A3 = A3^H and A4 = -A4^T on the parts (a1, a2, a3, a4); a dual complex
-    matrix is Hermitian when both its parts (st, du) are."""
-    flips = (np.conj, np.negative) * 2 if len(parts) == 4 else (np.conj, np.conj)
-    return [float(np.abs(a - f(a).T).max(initial=0.0)) for a, f in zip(parts, flips)]
+    matrix is Hermitian when both its parts (st, du) are. The parts are
+    compared as one stack, in a few calls whatever their number."""
+    x = np.asarray(parts)
+    flip = np.conj(x.swapaxes(1, 2))
+    if len(x) == 4:
+        np.negative(np.conj(flip[1::2]), out=flip[1::2])
+    return np.abs(x - flip).max(axis=(1, 2), initial=0.0).tolist()
 
 
 def _is_hermitian(parts, tol) -> bool:
@@ -338,10 +342,6 @@ class DualQuaternionMatrix(_Stacked):
     def is_hermitian(self) -> bool:
         """Whether every entry of Q - Q* is at most 1e-10 in modulus."""
         return _is_hermitian(self._parts, 1e-10)
-
-    def norm_fr(self) -> float:
-        """sqrt of the sum of squared Frobenius norms of both parts."""
-        return float(_norm_2r(self._parts))
 
 
 class DualQuaternionVector(_Stacked):

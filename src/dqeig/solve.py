@@ -30,7 +30,7 @@ def solve(
     """Eigenpairs of the Hermitian q by the algorithm alg, one of ALGORITHMS.
 
     The power methods take their budget from cfg and gate q with the
-    Hermitian check first; eddcam_ea gates its adjoint itself. dcam and adcam
+    Hermitian check first; eddcam_ea gates q itself. dcam and adcam
     start from v0, by default the random unit vector seeded by cfg.seed; a
     v0 whose length is not q.rows raises DimensionMismatch, and a non-finite
     one ValueError. The 0 x 0 matrix gives the empty converged result under

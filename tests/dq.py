@@ -85,7 +85,7 @@ def dual_norm(x) -> DualNumber:
 
 
 def norm_2r(x) -> float:
-    """sqrt of the sum of squared moduli over all parts."""
+    """sqrt of the sum of squared moduli over all parts; |Q|_F of a matrix."""
     return float(_norm_2r(x._parts))
 
 

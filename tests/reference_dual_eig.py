@@ -90,7 +90,7 @@ def _canonical_phase(v):
 
 
 def orthogonalize_eigenvectors(vs, q, lam, tol_rank=1e-8):
-    scale = max(1.0, q.norm_fr())
+    scale = max(1.0, norm_2r(q))
     for v in vs:
         res = norm_2r(q @ v - scale_right(v, lam))
         if res > 1e-8 * scale * max(1.0, norm_2r(v)):

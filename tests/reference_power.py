@@ -161,12 +161,12 @@ def dcama_pm(q, cfg, deflate_tol=None):
 def power_method_spectrum(q, cfg, deflate_tol=None):
     n = q.rows
     if deflate_tol is None:
-        deflate_tol = 1e-8 * max(1.0, q.norm_fr())
+        deflate_tol = 1e-8 * max(1.0, norm_2r(q))
     work = q
     found = []
     iterations = 0
     for k in range(1, n + 1):
-        if work.norm_fr() <= deflate_tol:
+        if norm_2r(work) <= deflate_tol:
             break
         rng = np.random.default_rng([cfg.seed, k])
         v0 = random_unit_vector(n, rng)

@@ -95,6 +95,8 @@ BAD_DOCUMENTS = {
     "fractional-n": {"format": "dqh-1", "n": 2.9, "entries": [[0] * 8] * 4},
     "boolean-n": {"format": "dqh-1", "n": True, "entries": [[0] * 8]},
     "string-n": {"format": "dqh-1", "n": "2", "entries": [[0] * 8] * 4},
+    "zero-n": {"format": "dqh-1", "n": 0, "entries": []},
+    "negative-n": {"format": "dqh-1", "n": -1, "entries": [[0] * 8]},
 }
 
 
@@ -110,6 +112,14 @@ def test_bad_document_exits_1_with_one_line(doc, tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Hermitian" not in lines[0]
+
+
+@pytest.mark.parametrize("name,n", [("zero-n", 0), ("negative-n", -1)])
+def test_a_non_positive_n_is_named_in_the_message(name, n, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(BAD_DOCUMENTS[name]))
+    with pytest.raises(ParseError, match=f"^'n' must be a positive integer, got {n}$"):
+        load_matrix(str(path))
 
 
 _scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)

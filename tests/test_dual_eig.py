@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dqeig.adjoint import adjoint
+from dqeig.adjoint import adjoint, vec_map_f
 from dqeig.bench import (
     PENTAGON_REFERENCE_EIGENVALUES,
     build_laplacian,
@@ -32,9 +32,8 @@ def orthogonalize(vs, q, lam, tol_rank=1e-8):
     objects."""
     if not vs:
         return []
-    x = tuple(np.stack(part, axis=1) for part in zip(*(v._parts for v in vs)))
-    _check_eigenvectors(q, x, np.full(len(vs), lam.st), np.full(len(vs), lam.du))
-    f = (np.concatenate([x[0], -x[1].conj()]), np.concatenate([x[2], -x[3].conj()]))
+    f = vec_map_f(tuple(np.stack(part, axis=1) for part in zip(*(v._parts for v in vs))))
+    _check_eigenvectors(adjoint(q), f, np.full(len(vs), lam.st), np.full(len(vs), lam.du))
     rows, (count,) = _gram_schmidt((f[0][None], f[1][None]), tol_rank)
     return [DualQuaternionVector(*w) for w in zip(*rows[:, :, 0, :count].reshape(4, count, -1))]
 
@@ -200,7 +199,7 @@ class TestOrthogonalize:
                 assert max(abs(d.st.x), abs(d.st.y), abs(d.st.z)) <= 1e-10
                 assert d.du.magnitude() <= 1e-10
             res = norm_2r(q @ a - scale_right(a, lam))
-            assert res <= 1e-9 * max(1.0, q.norm_fr())
+            assert res <= 1e-9 * max(1.0, norm_2r(q))
 
     def test_rejects_non_eigenvector(self):
         q, lam, (v, _) = self._fixture()
@@ -243,7 +242,7 @@ class TestEddcamEa:
     def test_eigenpair_residuals(self):
         q = random_hermitian(6, np.random.default_rng(45))
         res = eddcam_ea(q)
-        bound = 1e-9 * max(1.0, q.norm_fr())
+        bound = 1e-9 * max(1.0, norm_2r(q))
         for lam, vecs in res.pairs:
             for v in vecs:
                 assert norm_2r(q @ v - scale_right(v, lam)) <= bound
@@ -266,7 +265,7 @@ class TestEddcamEa:
         for lam, vecs in res.pairs:
             for v in vecs:
                 recon = recon + outer(v, v) * lam
-        assert (q - recon).norm_fr() <= 1e-8 * max(1.0, q.norm_fr())
+        assert norm_2r(q - recon) <= 1e-8 * max(1.0, norm_2r(q))
 
     def test_even_adjoint_multiplicity(self):
         q = random_hermitian(5, np.random.default_rng(48))
@@ -338,8 +337,9 @@ class TestEddcamEa:
             eddcam_ea(m)
 
     def test_adjoint_gate_decides_as_the_gate_on_q(self):
-        # eddcam_ea gates only adjoint(Q): its entries are Q's parts up to
-        # sign and conjugation, so near the threshold it decides as Q's would
+        # eddcam_ea gates Q's parts and eig_dual_complex_hermitian adjoint(Q),
+        # whose entries are Q's parts up to sign and conjugation, so near the
+        # threshold both decide alike
         rng = np.random.default_rng(70)
         decided = []
         for _ in range(300):

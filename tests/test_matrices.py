@@ -170,7 +170,7 @@ class TestMatrixNorms:
         f = dual_norm(a)
         assert math.isclose(f.st, math.sqrt(2.0), rel_tol=1e-15)
         assert math.isclose(f.du, math.sqrt(2.0), rel_tol=1e-15)
-        assert math.isclose(a.norm_fr(), 2.0, rel_tol=1e-15)
+        assert math.isclose(norm_2r(a), 2.0, rel_tol=1e-15)
 
     def test_pure_dual_degenerate_branch(self):
         rng = np.random.default_rng(8)
@@ -183,7 +183,7 @@ class TestMatrixNorms:
 
     def test_zero_matrix(self):
         assert dual_norm(zeros(3, 3)) == DualNumber(0.0, 0.0)
-        assert zeros(3, 3).norm_fr() == 0.0
+        assert norm_2r(zeros(3, 3)) == 0.0
 
 
 class TestUnitProjection:
